@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -22,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import EvaluationError, ResamplingError
+from .errors import EvaluationError
 from .mirror import (DualityInterface, interpolation_residuals,
                      mirror_residual)
 from .permcomb import Permutation, all_permutations, compose
 from .qtheta import ThetaContext, theta
-from .restriction import A_diagonal, build_A_direct
+from .restriction import A_diagonal, build_A_direct, entry_cache
 from .rmatrix import (build_A_by_dual_recursion, build_A_by_R_recursion,
                       dual_residual, exchange_residual)
 from .sampling import random_chern_point, random_parameter_point
@@ -97,29 +98,21 @@ def _rng_for(config: RunConfig, stream: str) -> np.random.Generator:
                                   if stream in SUITE_NAMES else 31 + len(stream)])
 
 
-def _check(cid: str, residual: float, tol: float) -> dict:
-    return {"id": cid, "residual": residual, "pass": bool(residual < tol)}
-
-
-def _suite_report(checks: list[dict], extra: dict | None = None) -> dict:
-    out = {
-        "checks": checks,
-        "max_residual": max((c["residual"] for c in checks), default=0.0),
-        "pass": all(c["pass"] for c in checks),
-    }
-    if extra:
-        out.update(extra)
-    return out
+def _word(I: Permutation) -> str:
+    return "".join(map(str, I.word))
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification suites: one sampling loop, one check function per suite
 # ---------------------------------------------------------------------------
+#
+# A check function takes (config, ctx, p, pt, rng, fields) for the pt-th
+# point p of its suite and yields (id, residual) pairs; it may add extra
+# report fields.  Library functions are called through their module-global
+# names so that rebinding them (as a tracer does) reaches every call.
 
-def suite_theta(config: RunConfig, ctx: ThetaContext) -> dict:
+def _check_theta(ctx: ThetaContext, rng: np.random.Generator):
     """Oddness and quasi-periodicity over 1000 random log-arguments."""
-    rng = _rng_for(config, "theta")
-    checks = []
     worst_odd = 0.0
     worst_qp = 0.0
     for _ in range(1000):
@@ -131,168 +124,109 @@ def suite_theta(config: RunConfig, ctx: ThetaContext) -> dict:
             / (1.0 + abs(shift) + abs(tv))
         worst_odd = max(worst_odd, odd)
         worst_qp = max(worst_qp, qp)
-    checks.append(_check("oddness x1000", worst_odd, ctx.tol))
-    checks.append(_check("quasi-periodicity x1000", worst_qp, ctx.tol))
-    return _suite_report(checks)
+    yield "oddness x1000", worst_odd
+    yield "quasi-periodicity x1000", worst_qp
 
 
-def suite_pprop(config: RunConfig, ctx: ThetaContext) -> dict:
+def _check_pprop(config, ctx, p, pt, rng, fields):
     """Inversion-reflection symmetry of the diagonal product."""
-    rng = _rng_for(config, "pprop")
-    n = config.n
-    s0 = Permutation.longest(n)
-    checks = []
-    pts = []
-    for pt in range(config.points):
-        p = random_parameter_point(n, rng, ctx)
-        pts.append(p)
-        args_inv_rev = tuple(-v for v in p.log_z[::-1])
-        for I in all_permutations(n):
-            K = compose(compose(s0, I), s0)   # word n+1-I_{n+1-j}
-            lhs = P(K, args_inv_rev, p, ctx)
-            rhs = P(I, p.log_z, p, ctx)
-            res = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
-            checks.append(_check(f"pprop I={''.join(map(str, I.word))} pt={pt}",
-                                 res, ctx.tol))
-    return _suite_report(checks, {"points": [p.to_json() for p in pts]})
+    s0 = Permutation.longest(p.n)
+    args_inv_rev = tuple(-v for v in p.log_z[::-1])
+    for I in all_permutations(p.n):
+        K = compose(compose(s0, I), s0)   # word n+1-I_{n+1-j}
+        lhs = P(K, args_inv_rev, p, ctx)
+        rhs = P(I, p.log_z, p, ctx)
+        yield f"pprop I={_word(I)} pt={pt}", abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
 
 
-def suite_triangular(config: RunConfig, ctx: ThetaContext) -> dict:
-    rng = _rng_for(config, "triangular")
-    n = config.n
-    sigma = Permutation(config.sigma) if config.sigma else Permutation.identity(n)
-    checks = []
-    zero_counts = []
-    pts = []
-    for pt in range(config.points):
-        p = random_parameter_point(n, rng, ctx)
-        pts.append(p)
-        mat = build_A_direct(sigma, p, ctx)
-        checks.append(_check(f"triangularity pt={pt}",
-                             mat.triangularity_violation(ctx.tol), ctx.tol))
-        zero_counts.append(len(mat.zero_pairs(ctx.tol)))
-    return _suite_report(checks, {"observed_zero_counts": zero_counts,
-                                  "points": [p.to_json() for p in pts]})
+def _check_triangular(config, ctx, p, pt, rng, fields):
+    sigma = Permutation(config.sigma) if config.sigma else Permutation.identity(p.n)
+    mat = build_A_direct(sigma, p, ctx)
+    fields.setdefault("observed_zero_counts", []).append(len(mat.zero_pairs(ctx.tol)))
+    yield f"triangularity pt={pt}", mat.triangularity_violation(ctx.tol)
 
 
-def suite_diagonal(config: RunConfig, ctx: ThetaContext) -> dict:
-    rng = _rng_for(config, "diagonal")
-    n = config.n
-    ident = Permutation.identity(n)
-    checks = []
-    pts = []
-    for pt in range(config.points):
-        p = random_parameter_point(n, rng, ctx)
-        pts.append(p)
-        mat = build_A_direct(ident, p, ctx)
-        for I in all_permutations(n):
-            closed = A_diagonal(I, p, ctx)
-            got = mat.entry(I, I)
-            res = abs(got - closed) / (abs(closed) + 1e-300)
-            checks.append(_check(f"diagonal I={''.join(map(str, I.word))} pt={pt}",
-                                 res, ctx.tol))
-    return _suite_report(checks, {"points": [p.to_json() for p in pts]})
+def _check_diagonal(config, ctx, p, pt, rng, fields):
+    mat = build_A_direct(Permutation.identity(p.n), p, ctx)
+    for I in all_permutations(p.n):
+        closed = A_diagonal(I, p, ctx)
+        yield (f"diagonal I={_word(I)} pt={pt}",
+               abs(mat.entry(I, I) - closed) / (abs(closed) + 1e-300))
 
 
-def _cached_entry(ctx: ThetaContext):
-    ident_cache: dict = {}
-
-    def entry(I: Permutation, J: Permutation, p) -> complex:
-        mat = ident_cache.get(p)
-        if mat is None:
-            mat = build_A_direct(Permutation.identity(p.n), p, ctx)
-            ident_cache[p] = mat
-        return mat.entry(I, J)
-
-    return entry
+def _relation_triples(n: int) -> list:
+    perms = all_permutations(n)
+    return [(I, J, k) for I in perms for J in perms for k in range(1, n)]
 
 
-def suite_rmatrel(config: RunConfig, ctx: ThetaContext) -> dict:
-    rng = _rng_for(config, "rmatrel")
-    n = config.n
-    checks = []
-    pts = []
-    for pt in range(config.points):
-        p = random_parameter_point(n, rng, ctx)
-        pts.append(p)
-        entry = _cached_entry(ctx)
-        worst = 0.0
-        count = 0
-        for I in all_permutations(n):
-            for J in all_permutations(n):
-                for k in range(1, n):
-                    worst = max(worst, exchange_residual(I, J, k, p, ctx, entry=entry))
-                    count += 1
-        checks.append(_check(f"exchange relation x{count} pt={pt}", worst, ctx.tol))
-    return _suite_report(checks, {"points": [p.to_json() for p in pts]})
+def _check_rmatrel(config, ctx, p, pt, rng, fields):
+    entry = entry_cache(ctx)
+    triples = _relation_triples(p.n)
+    worst = max([0.0] + [exchange_residual(I, J, k, p, ctx, entry=entry)
+                         for I, J, k in triples])
+    yield f"exchange relation x{len(triples)} pt={pt}", worst
 
 
-def suite_dualrel(config: RunConfig, ctx: ThetaContext) -> dict:
-    rng = _rng_for(config, "dualrel")
-    n = config.n
-    checks = []
-    pts = []
-    for pt in range(config.points):
-        p = random_parameter_point(n, rng, ctx)
-        pts.append(p)
-        entry = _cached_entry(ctx)
-        worst = 0.0
-        count = 0
-        for I in all_permutations(n):
-            for J in all_permutations(n):
-                for k in range(1, n):
-                    worst = max(worst, dual_residual(I, J, k, p, ctx, entry=entry))
-                    count += 1
-        checks.append(_check(f"dual relation x{count} pt={pt}", worst, ctx.tol))
-    return _suite_report(checks, {"points": [p.to_json() for p in pts]})
+def _check_dualrel(config, ctx, p, pt, rng, fields):
+    entry = entry_cache(ctx)
+    triples = _relation_triples(p.n)
+    worst = max([0.0] + [dual_residual(I, J, k, p, ctx, entry=entry)
+                         for I, J, k in triples])
+    yield f"dual relation x{len(triples)} pt={pt}", worst
 
 
-def suite_mirror(config: RunConfig, ctx: ThetaContext) -> dict:
-    rng = _rng_for(config, "mirror")
-    n = config.n
-    checks = []
-    pts = []
-    for pt in range(config.points):
-        p = random_parameter_point(n, rng, ctx)
-        pts.append(p)
-        for I in all_permutations(n):
-            for J in all_permutations(n):
-                res = mirror_residual(I, J, p, ctx)
-                cid = (f"mirror I={''.join(map(str, I.word))} "
-                       f"J={''.join(map(str, J.word))} pt={pt}")
-                checks.append(_check(cid, res, ctx.tol))
-    return _suite_report(checks, {"points": [p.to_json() for p in pts]})
+def _check_mirror(config, ctx, p, pt, rng, fields):
+    perms = all_permutations(p.n)
+    for I in perms:
+        for J in perms:
+            yield f"mirror I={_word(I)} J={_word(J)} pt={pt}", mirror_residual(I, J, p, ctx)
 
 
-def suite_interface(config: RunConfig, ctx: ThetaContext) -> dict:
-    rng = _rng_for(config, "interface")
-    n = config.n
-    checks = []
-    pts = []
-    for pt in range(config.points):
-        p = random_parameter_point(n, rng, ctx)
-        pts.append(p)
-        iface = DualityInterface.create(p, ctx)
-        t = random_chern_point(n, rng)
-        tp = random_chern_point(n, rng)
-        for I in all_permutations(n):
-            r1, r2 = interpolation_residuals(iface, I, t, tp)
-            iw = "".join(map(str, I.word))
-            checks.append(_check(f"interface first I={iw} pt={pt}", r1, ctx.tol))
-            checks.append(_check(f"interface second I={iw} pt={pt}", r2, ctx.tol))
-    return _suite_report(checks, {"points": [p.to_json() for p in pts]})
+def _check_interface(config, ctx, p, pt, rng, fields):
+    iface = DualityInterface.create(p, ctx)
+    t = random_chern_point(p.n, rng)
+    tp = random_chern_point(p.n, rng)
+    for I in all_permutations(p.n):
+        r1, r2 = interpolation_residuals(iface, I, t, tp)
+        yield f"interface first I={_word(I)} pt={pt}", r1
+        yield f"interface second I={_word(I)} pt={pt}", r2
 
 
-SUITES = {
-    "theta": suite_theta,
-    "triangular": suite_triangular,
-    "diagonal": suite_diagonal,
-    "rmatrel": suite_rmatrel,
-    "dualrel": suite_dualrel,
-    "mirror": suite_mirror,
-    "interface": suite_interface,
-    "pprop": suite_pprop,
+_CHECKS = {
+    "triangular": _check_triangular,
+    "diagonal": _check_diagonal,
+    "rmatrel": _check_rmatrel,
+    "dualrel": _check_dualrel,
+    "mirror": _check_mirror,
+    "interface": _check_interface,
+    "pprop": _check_pprop,
 }
+
+
+def run_suite(name: str, config: RunConfig, ctx: ThetaContext) -> dict:
+    """Report of one suite: the checks its check function gives at each of
+    ``config.points`` points drawn from the suite's own rng stream.  The
+    theta suite draws log-arguments, not points."""
+    rng = _rng_for(config, name)
+    fields: dict = {}
+    if name == "theta":
+        pairs = list(_check_theta(ctx, rng))
+    else:
+        pairs, points = [], []
+        for pt in range(config.points):
+            p = random_parameter_point(config.n, rng, ctx)
+            points.append(p.to_json())
+            pairs.extend(_CHECKS[name](config, ctx, p, pt, rng, fields))
+        fields["points"] = points
+    checks = [{"id": cid, "residual": res, "pass": bool(res < ctx.tol)}
+              for cid, res in pairs]
+    return {"checks": checks,
+            "max_residual": max((c["residual"] for c in checks), default=0.0),
+            "pass": all(c["pass"] for c in checks),
+            **fields}
+
+
+SUITES = {name: functools.partial(run_suite, name) for name in SUITE_NAMES}
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +265,7 @@ def run_weights_mode(config: RunConfig, ctx: ThetaContext) -> dict:
     values = {}
     for I in all_permutations(n):
         v = W(I, t, p, ctx)
-        values["".join(map(str, I.word))] = [v.real, v.imag]
+        values[_word(I)] = [v.real, v.imag]
     return {
         "point": p.to_json(),
         "chern": [[[v.real, v.imag] for v in lv] for lv in t.levels],

@@ -8,8 +8,6 @@ with an explicit theta-product diagonal.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +38,6 @@ def A_diagonal(I: Permutation, p: ParameterPoint, ctx: ThetaContext) -> complex:
     """Closed form of the diagonal entry: the sign of I times the z-side
     product at index I times the mu-side product at the reflected inverse
     index, with reversed mu arguments."""
-    n = len(I)
     M = mirror_index(I)
     return I.sign() * P(I, p.log_z, p, ctx) * P(M, p.log_mu[::-1], p, ctx)
 
@@ -148,41 +145,25 @@ class RestrictionMatrix:
         return "\n".join(lines) + "\n"
 
 
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ELLWEIGHTS_THREADS", "1")))
-    except ValueError:
-        return 1
+def build_A_direct(sigma: Permutation, p: ParameterPoint,
+                   ctx: ThetaContext) -> RestrictionMatrix:
+    """Assemble the full matrix by direct evaluation, in row-major order.
 
-
-def build_A_direct(sigma: Permutation, p: ParameterPoint, ctx: ThetaContext,
-                   threads: int | None = None) -> RestrictionMatrix:
-    """Assemble the full matrix by direct evaluation.
-
-    Entries are independent; with threads > 1 they are evaluated in a pool
-    but always assembled in the fixed row-major order.
+    Entries that fail to evaluate are collected over the whole sweep and
+    reported together.
     """
     n = p.n
     order = all_permutations(n)
-    pairs = [(I, J) for I in order for J in order]
-    threads = default_threads() if threads is None else threads
-
     errors: list[str] = []
 
-    def one(pair):
-        I, J = pair
+    def one(I: Permutation, J: Permutation) -> complex:
         try:
             return A_direct(sigma, I, J, p, ctx)
         except Exception as exc:  # aggregate, report after the sweep
             errors.append(f"entry ({I.word}, {J.word}): {exc}")
             return complex("nan")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(one, pairs))
-    else:
-        values = [one(pair) for pair in pairs]
-
+    values = [one(I, J) for I in order for J in order]
     if errors:
         raise RuntimeError("unevaluable entries:\n" + "\n".join(errors))
 
@@ -190,3 +171,17 @@ def build_A_direct(sigma: Permutation, p: ParameterPoint, ctx: ThetaContext,
     entries = np.array(values, dtype=complex).reshape(m, m)
     return RestrictionMatrix(n=n, sigma=sigma, order=order, entries=entries,
                              provenance="direct", point=p)
+
+
+def entry_cache(ctx: ThetaContext):
+    """Callable entry(I, J, p) of the identity-chamber direct matrix at any
+    point p, building each point's matrix once."""
+    mats: dict = {}
+
+    def entry(I: Permutation, J: Permutation, p: ParameterPoint) -> complex:
+        mat = mats.get(p)
+        if mat is None:
+            mat = mats[p] = build_A_direct(Permutation.identity(p.n), p, ctx)
+        return mat.entry(I, J)
+
+    return entry

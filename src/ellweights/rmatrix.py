@@ -23,7 +23,8 @@ closed-form diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -136,145 +137,103 @@ def dual_residual(I: Permutation, J: Permutation, k: int,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _PrimalBuilder:
-    """Row recursion: memoized over (row, column, z-slot permutation)."""
+class _TwoTermRecursion:
+    """Memoized two-term update shared by both recursions.
 
-    p: ParameterPoint
+    ``value(X, Y, slots)`` is the entry with grown index X and other index
+    Y at the point whose slots (z or mu) are permuted by ``slots``.  The
+    grown index starts at ``seed``, where triangularity plus the closed-form
+    diagonal fix the value.  Any other X comes from ``prev = move(X, k)``
+    for a step k in ``steps(X)``, where ``coeffs(prev, k, slots)`` gives the
+    relation's coefficients (r1, r2) and the relation instantiated at
+    ``slots`` and at its k-th position swap solves to the update below.
+    """
+
+    seed: Permutation
+    steps: Callable[[Permutation], list[int]]
+    move: Callable[[Permutation, int], Permutation]
+    coeffs: Callable[[Permutation, int, Permutation], tuple[complex, complex]]
+    seed_point: Callable[[Permutation], ParameterPoint]
     ctx: ThetaContext
+    memo: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.memo: dict = {}
-        self.idw = Permutation.identity(self.p.n)
-
-    def _point(self, pi: Permutation) -> ParameterPoint:
-        return self.p.permute_z(pi)
-
-    def value(self, I: Permutation, J: Permutation, pi: Permutation,
+    def value(self, X: Permutation, Y: Permutation, slots: Permutation,
               k_choice: int | None = None) -> complex:
-        key = (I.word, J.word, pi.word, k_choice)
+        key = (X.word, Y.word, slots.word, k_choice)
         if key in self.memo:
             return self.memo[key]
-        if I.word == self.idw.word:
-            v = A_diagonal(self.idw, self._point(pi), self.ctx) \
-                if J.word == self.idw.word else 0.0 + 0j
+        if X.word == self.seed.word:
+            v = A_diagonal(self.seed, self.seed_point(slots), self.ctx) \
+                if Y.word == self.seed.word else 0.0 + 0j
             self.memo[key] = v
             return v
-        k = k_choice if k_choice is not None else I.value_descents()[0]
-        Iold = I.value_swap(k)
-        a, b = Iold.inverse()(k), Iold.inverse()(k + 1)
-        x = self.p.z(pi(k)) - self.p.z(pi(k + 1))
+        k = k_choice if k_choice is not None else self.steps(X)[0]
+        prev = self.move(X, k)
+        swapped = slots.pos_swap(k)
         try:
-            r1x = felder_R("diag", a, b, x, self.p, self.ctx)
-            r2x = felder_R("exchange", b, a, x, self.p, self.ctx)
-            r1i = felder_R("diag", a, b, -x, self.p, self.ctx)
-            r2i = felder_R("exchange", b, a, -x, self.p, self.ctx)
+            r1c, r2c = self.coeffs(prev, k, slots)
+            r1s, r2s = self.coeffs(prev, k, swapped)
         except PoleError as exc:
-            raise ResonanceError(f"resonant coefficient at row {I.word}: {exc}")
-        den = 1.0 - r2x * r2i
-        if abs(den) < self.ctx.pole_tol ** 0.5:
-            raise ResonanceError(f"singular exchange update at row {I.word}")
-        pis = pi.pos_swap(k)
-        v = (r1i * self.value(Iold, J.value_swap(k), pis)
-             + r2i * r1x * self.value(Iold, J, pi)) / den
-        self.memo[key] = v
-        return v
-
-
-@dataclass
-class _DualBuilder:
-    """Column recursion: memoized over (row, column, mu-slot permutation)."""
-
-    p: ParameterPoint
-    ctx: ThetaContext
-
-    def __post_init__(self):
-        self.memo: dict = {}
-        self.s0 = Permutation.longest(self.p.n)
-
-    def _point(self, rho: Permutation) -> ParameterPoint:
-        return self.p.permute_mu(rho)
-
-    def _coeffs(self, Jlong: Permutation, k: int, rho: Permutation):
-        n = self.p.n
-        a, b = n - Jlong(k) + 1, n - Jlong(k + 1) + 1
-        x = self.p.mu(rho(k + 1)) - self.p.mu(rho(k))
-        try:
-            r1 = dual_R("diag", a, b, x, self.p, self.ctx)
-            r2 = dual_R("exchange", b, a, x, self.p, self.ctx)
-        except PoleError as exc:
-            raise ResonanceError(f"resonant coefficient at column {Jlong.word}: {exc}")
-        return r1, r2
-
-    def value(self, I: Permutation, C: Permutation, rho: Permutation,
-              k_choice: int | None = None) -> complex:
-        key = (I.word, C.word, rho.word, k_choice)
-        if key in self.memo:
-            return self.memo[key]
-        if C.word == self.s0.word:
-            v = A_diagonal(self.s0, self._point(rho), self.ctx) \
-                if I.word == self.s0.word else 0.0 + 0j
-            self.memo[key] = v
-            return v
-        k = k_choice if k_choice is not None else C.word_ascents()[0]
-        Jlong = C.pos_swap(k)
-        rhos = rho.pos_swap(k)
-        r1c, r2c = self._coeffs(Jlong, k, rho)
-        r1s, r2s = self._coeffs(Jlong, k, rhos)
+            raise ResonanceError(f"resonant coefficient at {X.word}: {exc}")
         den = 1.0 - r2c * r2s
         if abs(den) < self.ctx.pole_tol ** 0.5:
-            raise ResonanceError(f"singular dual update at column {C.word}")
-        v = (r1s * self.value(I.pos_swap(k), Jlong, rhos)
-             + r2s * r1c * self.value(I, Jlong, rho)) / den
+            raise ResonanceError(f"singular update at {X.word}")
+        v = (r1s * self.value(prev, self.move(Y, k), swapped)
+             + r2s * r1c * self.value(prev, Y, slots)) / den
         self.memo[key] = v
         return v
 
 
-def _assemble(builder, p: ParameterPoint, ctx: ThetaContext, provenance: str,
-              crosscheck: bool) -> RestrictionMatrix:
-    n = p.n
-    order = all_permutations(n)
-    ident = Permutation.identity(n)
-    m = len(order)
-    entries = np.empty((m, m), dtype=complex)
-    for i, I in enumerate(order):
-        for j, J in enumerate(order):
-            entries[i, j] = builder.value(I, J, ident)
-    matrix = RestrictionMatrix(n=n, sigma=ident, order=order, entries=entries,
+def _assemble(rec: _TwoTermRecursion, p: ParameterPoint, ctx: ThetaContext,
+              provenance: str, crosscheck: bool,
+              transpose: bool = False) -> RestrictionMatrix:
+    """Matrix of a recursion that grows rows, or columns when ``transpose``
+    is set.  The crosscheck rebuilds every grown index through each
+    alternative step and requires agreement."""
+    order = all_permutations(p.n)
+    ident = Permutation.identity(p.n)
+    cell = (lambda X, Y: (Y, X)) if transpose else (lambda X, Y: (X, Y))
+    entries = np.array([[rec.value(*cell(I, J), ident) for J in order]
+                        for I in order], dtype=complex)
+    matrix = RestrictionMatrix(n=p.n, sigma=ident, order=order, entries=entries,
                                provenance=provenance, point=p)
     if crosscheck:
-        _crosscheck(builder, matrix, ctx, provenance)
+        scale = 1.0 + matrix.max_abs()
+        for X in order:
+            for k in rec.steps(X)[1:]:
+                for Y in order:
+                    I, J = cell(X, Y)
+                    delta = abs(rec.value(X, Y, ident, k) - matrix.entry(I, J)) / scale
+                    if delta > ctx.tol:
+                        raise ConsistencyError(
+                            f"step k={k} disagrees at (row, column) = "
+                            f"({I.word}, {J.word}): |delta|/scale = {delta:.3e}")
     return matrix
-
-
-def _crosscheck(builder, matrix: RestrictionMatrix, ctx: ThetaContext,
-                provenance: str) -> None:
-    """Rebuild every row (column) through each alternative descent and
-    require agreement."""
-    ident = Permutation.identity(matrix.n)
-    primal = provenance == "r_recursion"
-    for X in matrix.order:
-        choices = X.value_descents() if primal else X.word_ascents()
-        for k in choices[1:]:
-            for Y in matrix.order:
-                args = (X, Y, ident, k) if primal else (Y, X, ident, k)
-                got = builder.value(*args)
-                base = matrix.entry(X, Y) if primal else matrix.entry(Y, X)
-                scale = 1.0 + matrix.max_abs()
-                if abs(got - base) / scale > ctx.tol:
-                    raise ConsistencyError(
-                        f"descent k={k} disagrees at ({X.word}, {Y.word}): "
-                        f"|delta|/scale = {abs(got - base) / scale:.3e}")
 
 
 def build_A_by_R_recursion(p: ParameterPoint, ctx: ThetaContext,
                            crosscheck: bool = False) -> RestrictionMatrix:
     """Rebuild the full matrix from the closed-form diagonal using the
     exchange relation, row by row in length order."""
-    return _assemble(_PrimalBuilder(p, ctx), p, ctx, "r_recursion", crosscheck)
+    def coeffs(prev: Permutation, k: int, slots: Permutation):
+        a, b = prev.inverse()(k), prev.inverse()(k + 1)
+        x = p.z(slots(k)) - p.z(slots(k + 1))
+        return felder_R("diag", a, b, x, p, ctx), felder_R("exchange", b, a, x, p, ctx)
+
+    rec = _TwoTermRecursion(Permutation.identity(p.n), Permutation.value_descents,
+                            Permutation.value_swap, coeffs, p.permute_z, ctx)
+    return _assemble(rec, p, ctx, "r_recursion", crosscheck)
 
 
 def build_A_by_dual_recursion(p: ParameterPoint, ctx: ThetaContext,
                               crosscheck: bool = False) -> RestrictionMatrix:
     """Rebuild the full matrix from the closed-form diagonal using the dual
     relation, column by column in co-length order."""
-    return _assemble(_DualBuilder(p, ctx), p, ctx, "dual_recursion", crosscheck)
+    def coeffs(prev: Permutation, k: int, slots: Permutation):
+        a, b = p.n - prev(k) + 1, p.n - prev(k + 1) + 1
+        x = p.mu(slots(k + 1)) - p.mu(slots(k))
+        return dual_R("diag", a, b, x, p, ctx), dual_R("exchange", b, a, x, p, ctx)
+
+    rec = _TwoTermRecursion(Permutation.longest(p.n), Permutation.word_ascents,
+                            Permutation.pos_swap, coeffs, p.permute_mu, ctx)
+    return _assemble(rec, p, ctx, "dual_recursion", crosscheck, transpose=True)

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import PoleError
-from .permcomb import Permutation, compose_values, fixed_point_tables, mirror_index
+from .permcomb import Permutation, compose_values, fixed_point_tables
 from .qtheta import ThetaContext, theta
 
 #: theta-denominator modulus below which a random point counts as resonant
@@ -105,13 +105,6 @@ def resonance_margin(p: ParameterPoint, ctx: ThetaContext) -> float:
 def is_generic(p: ParameterPoint, ctx: ThetaContext,
                threshold: float = RESONANCE_TOL) -> bool:
     return resonance_margin(p, ctx) >= threshold
-
-
-def check_generic(p: ParameterPoint, ctx: ThetaContext,
-                  threshold: float = RESONANCE_TOL) -> None:
-    margin = resonance_margin(p, ctx)
-    if margin < threshold:
-        raise PoleError(f"parameter point is resonant: margin {margin:.3e}")
 
 
 @dataclass(frozen=True)
@@ -242,8 +235,3 @@ def P(I: Permutation, log_w: tuple[complex, ...], p: ParameterPoint,
             lx = log_w[il - 1] - log_w[ik - 1]
             out *= theta(ctx, p.log_h + lx) if il < ik else theta(ctx, lx)
     return out
-
-
-def dual_diagonal_index(I: Permutation) -> Permutation:
-    """Index of the mu-side factor in the diagonal closed form."""
-    return mirror_index(I)

@@ -15,7 +15,7 @@ from ellweights import (A_diagonal, A_direct, DualityInterface, P,
                         Permutation, all_permutations,
                         build_A_by_dual_recursion, build_A_by_R_recursion,
                         build_A_direct, compose, dual_residual,
-                        exchange_residual, interpolation_residuals,
+                        entry_cache, exchange_residual, interpolation_residuals,
                         mirror_residual, random_chern_point,
                         random_parameter_point, theta)
 from ellweights.cli import RunConfig, run
@@ -33,19 +33,6 @@ def report(num, name, passed, detail):
     line = f"criterion {num:2d} ({name}): {'PASS' if passed else 'FAIL'} {detail}"
     print(line)
     assert passed, line
-
-
-def entry_cache(ctx):
-    mats = {}
-
-    def entry(I, J, p):
-        m = mats.get(p)
-        if m is None:
-            m = build_A_direct(Permutation.identity(p.n), p, ctx)
-            mats[p] = m
-        return m.entry(I, J)
-
-    return entry
 
 
 def test_criterion_1_theta_functional_equations(actx):

@@ -3,12 +3,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ellweights
 from ellweights import random_parameter_point
-from ellweights.cli import RunConfig, build_parser, config_from_args, main, run
+from ellweights.cli import (SUITE_NAMES, RunConfig, build_parser,
+                            config_from_args, main, run)
 from ellweights.errors import ResamplingError
 
 # Golden fixture: the 2x2 matrix at the pinned point drawn with seed
@@ -90,6 +93,35 @@ class TestVerifyMode:
         assert report["schema"] == 1
         assert report["mode"] == "verify"
         assert report["config"]["seed"] == 20240801
+
+    def test_report_layout(self):
+        # check ids and key order of every suite, pinned at n=2, two points
+        status, report = run(RunConfig(n=2, points=2))
+        assert status == 0
+        assert list(report) == ["schema", "version", "config", "mode", "suites", "pass"]
+        assert list(report["suites"]) == list(SUITE_NAMES)
+        pts, words = (0, 1), ("12", "21")
+        expected = {
+            "theta": ["oddness x1000", "quasi-periodicity x1000"],
+            "triangular": [f"triangularity pt={pt}" for pt in pts],
+            "diagonal": [f"diagonal I={i} pt={pt}" for pt in pts for i in words],
+            "rmatrel": [f"exchange relation x4 pt={pt}" for pt in pts],
+            "dualrel": [f"dual relation x4 pt={pt}" for pt in pts],
+            "mirror": [f"mirror I={i} J={j} pt={pt}"
+                       for pt in pts for i in words for j in words],
+            "interface": [f"interface {side} I={i} pt={pt}"
+                          for pt in pts for i in words for side in ("first", "second")],
+            "pprop": [f"pprop I={i} pt={pt}" for pt in pts for i in words],
+        }
+        for name, suite in report["suites"].items():
+            assert [c["id"] for c in suite["checks"]] == expected[name], name
+            keys = ["checks", "max_residual", "pass"]
+            if name == "triangular":
+                keys.append("observed_zero_counts")
+            if name != "theta":
+                keys.append("points")
+            assert list(suite) == keys, name
+            assert list(suite["checks"][0]) == ["id", "residual", "pass"]
 
 
 class TestMatrixMode:
@@ -214,7 +246,8 @@ class TestCommandLine:
         proc = subprocess.run(
             [sys.executable, "-m", "ellweights", "verify", "--n", "2",
              "--suites", "theta"],
-            capture_output=True, text=True, timeout=300)
+            capture_output=True, text=True, timeout=300,
+            cwd=Path(ellweights.__file__).parents[1])   # the tree under test
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["pass"] is True
 

@@ -6,8 +6,9 @@ import pytest
 from ellweights import (A_diagonal, A_direct, ParameterPoint,
                         Permutation, RestrictionMatrix, all_permutations,
                         ao_normalization_factor, bruhat_leq, build_A_direct,
-                        compose_values, P, random_parameter_point,
-                        restriction_point, theta, W)
+                        compose_values, entry_cache, P,
+                        random_parameter_point, restriction_point, theta, W)
+from ellweights import restriction
 
 
 def rel(a, b):
@@ -200,12 +201,19 @@ class TestMatrixObject:
         mat = build_A_direct(Permutation.identity(2), p, ctx)
         assert mat.max_deviation(mat) == 0.0
 
-    def test_threaded_build_identical(self, ctx, rng):
-        p = random_parameter_point(3, rng, ctx)
-        ident = Permutation.identity(3)
-        a = build_A_direct(ident, p, ctx, threads=1)
-        b = build_A_direct(ident, p, ctx, threads=4)
-        assert np.array_equal(a.entries, b.entries)
+    def test_entry_cache_builds_each_point_once(self, ctx, rng, monkeypatch):
+        p = random_parameter_point(2, rng, ctx)
+        builds = []
+        real = restriction.build_A_direct
+        monkeypatch.setattr(restriction, "build_A_direct",
+                            lambda *args: builds.append(args) or real(*args))
+        entry = entry_cache(ctx)
+        mat = real(Permutation.identity(2), p, ctx)
+        for I in all_permutations(2):
+            for J in all_permutations(2):
+                assert entry(I, J, p) == mat.entry(I, J)
+        entry(Permutation.identity(2), Permutation.identity(2), p.swap_z(1))
+        assert [args[1] for args in builds] == [p, p.swap_z(1)]
 
     def test_entry_lookup(self, ctx, rng):
         p = random_parameter_point(2, rng, ctx)
@@ -220,16 +228,3 @@ class TestMatrixObject:
                              log_mu=base.log_mu, log_h=base.log_h)
         with pytest.raises(RuntimeError, match="unevaluable"):
             build_A_direct(Permutation.identity(3), bad, ctx)
-
-    def test_thread_env_var(self, ctx, rng, monkeypatch):
-        from ellweights.restriction import default_threads
-        monkeypatch.setenv("ELLWEIGHTS_THREADS", "3")
-        assert default_threads() == 3
-        p = random_parameter_point(2, rng, ctx)
-        ident = Permutation.identity(2)
-        a = build_A_direct(ident, p, ctx)          # picks up env default
-        monkeypatch.setenv("ELLWEIGHTS_THREADS", "1")
-        b = build_A_direct(ident, p, ctx)
-        assert np.array_equal(a.entries, b.entries)
-        monkeypatch.setenv("ELLWEIGHTS_THREADS", "junk")
-        assert default_threads() == 1

@@ -2,8 +2,8 @@
 
 import pytest
 
-from ellweights import (ParameterPoint, Permutation, PoleError,
-                        ResonanceError, all_permutations,
+from ellweights import (ConsistencyError, ParameterPoint, Permutation,
+                        PoleError, ResonanceError, ThetaContext, all_permutations,
                         build_A_by_dual_recursion, build_A_by_R_recursion,
                         build_A_direct, dual_R, dual_residual,
                         exchange_residual, felder_R, random_parameter_point)
@@ -141,6 +141,18 @@ class TestRecursionBuilders:
         p = random_parameter_point(3, rng, ctx)
         build_A_by_R_recursion(p, ctx, crosscheck=True)
         build_A_by_dual_recursion(p, ctx, crosscheck=True)
+
+    def test_crosscheck_failure_names_row_then_column(self, rng):
+        # at tol 1e-30 the rounding difference between alternative steps
+        # (|delta|/scale 5.2e-14 and 2.3e-18) exceeds the tolerance
+        ctx = ThetaContext.create(q=0.3, tol=1e-30)
+        p = random_parameter_point(3, rng, ctx)
+        with pytest.raises(ConsistencyError,
+                           match=r"\(row, column\) = \(\(3, 2, 1\), \(1, 2, 3\)\)"):
+            build_A_by_R_recursion(p, ctx, crosscheck=True)
+        with pytest.raises(ConsistencyError,
+                           match=r"\(row, column\) = \(\(1, 2, 3\), \(1, 2, 3\)\)"):
+            build_A_by_dual_recursion(p, ctx, crosscheck=True)
 
     def test_resonant_point_raises(self, ctx, rng):
         p = random_parameter_point(3, rng, ctx)
