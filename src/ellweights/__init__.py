@@ -18,9 +18,8 @@ from .restriction import (A_diagonal, A_direct, RestrictionMatrix,
                           entry_cache, restriction_point)
 from .rmatrix import (build_A_by_dual_recursion, build_A_by_R_recursion,
                       dual_R, dual_residual, exchange_residual, felder_R)
-from .mirror import (DualityInterface, global_sign, interface_value,
-                     interpolation_residuals, kappa_substitute,
-                     mirror_residual)
+from .mirror import (DualityInterface, global_sign, interpolation_residuals,
+                     kappa_substitute, mirror_residual)
 from .sampling import random_chern_point, random_parameter_point
 
 __all__ = [
@@ -37,7 +36,7 @@ __all__ = [
     "build_A_direct", "entry_cache", "restriction_point",
     "build_A_by_dual_recursion", "build_A_by_R_recursion", "dual_R",
     "dual_residual", "exchange_residual", "felder_R",
-    "DualityInterface", "global_sign", "interface_value",
-    "interpolation_residuals", "kappa_substitute", "mirror_residual",
+    "DualityInterface", "global_sign", "interpolation_residuals",
+    "kappa_substitute", "mirror_residual",
     "random_chern_point", "random_parameter_point",
 ]

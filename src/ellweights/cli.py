@@ -28,7 +28,8 @@ from .mirror import (DualityInterface, interpolation_residuals,
                      mirror_residual)
 from .permcomb import Permutation, all_permutations, compose
 from .qtheta import ThetaContext, theta
-from .restriction import A_diagonal, build_A_direct, entry_cache
+from .restriction import (A_diagonal, A_direct, build_A_direct, entry_cache,
+                          relative_residual)
 from .rmatrix import (build_A_by_dual_recursion, build_A_by_R_recursion,
                       dual_residual, exchange_residual)
 from .sampling import random_chern_point, random_parameter_point
@@ -75,6 +76,9 @@ class RunConfig:
                 raise ValueError(f"unknown suite {s!r}")
         if self.sigma is not None:
             Permutation(self.sigma)  # validates
+            if len(self.sigma) != self.n:
+                raise ValueError(
+                    f"sigma has {len(self.sigma)} entries, expected n={self.n}")
 
     def context(self) -> ThetaContext:
         return ThetaContext.create(q=self.q, trunc=self.trunc, tol=self.tol)
@@ -136,7 +140,7 @@ def _check_pprop(config, ctx, p, pt, rng, fields):
         K = compose(compose(s0, I), s0)   # word n+1-I_{n+1-j}
         lhs = P(K, args_inv_rev, p, ctx)
         rhs = P(I, p.log_z, p, ctx)
-        yield f"pprop I={_word(I)} pt={pt}", abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
+        yield f"pprop I={_word(I)} pt={pt}", relative_residual(lhs, rhs)
 
 
 def _check_triangular(config, ctx, p, pt, rng, fields):
@@ -147,11 +151,11 @@ def _check_triangular(config, ctx, p, pt, rng, fields):
 
 
 def _check_diagonal(config, ctx, p, pt, rng, fields):
-    mat = build_A_direct(Permutation.identity(p.n), p, ctx)
+    ident = Permutation.identity(p.n)
     for I in all_permutations(p.n):
         closed = A_diagonal(I, p, ctx)
         yield (f"diagonal I={_word(I)} pt={pt}",
-               abs(mat.entry(I, I) - closed) / (abs(closed) + 1e-300))
+               abs(A_direct(ident, I, I, p, ctx) - closed) / (abs(closed) + 1e-300))
 
 
 def _relation_triples(n: int) -> list:
@@ -183,7 +187,7 @@ def _check_mirror(config, ctx, p, pt, rng, fields):
 
 
 def _check_interface(config, ctx, p, pt, rng, fields):
-    iface = DualityInterface.create(p, ctx)
+    iface = DualityInterface(p, ctx)
     t = random_chern_point(p.n, rng)
     tp = random_chern_point(p.n, rng)
     for I in all_permutations(p.n):

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import IllConditionedError
 from .permcomb import Permutation, all_permutations, compose, mirror_index
 from .qtheta import ThetaContext
-from .restriction import build_A_direct, restriction_point
+from .restriction import (build_A_direct, relative_residual,
+                          restriction_point)
 from .weightfn import ChernPoint, ParameterPoint, W, weight_terms
 
 
@@ -50,53 +51,30 @@ def mirror_residual(I: Permutation, J: Permutation, p: ParameterPoint,
     lhs, s1 = _entry_with_scale(I, J, p, ctx)
     rhs_raw, s2 = _entry_with_scale(mirror_index(J), mirror_index(I),
                                     kappa_substitute(p), ctx)
-    rhs = global_sign(n) * rhs_raw
-    denom = abs(lhs) + abs(rhs) + max(s1, s2)
-    if denom == 0.0:
-        return 0.0   # both sides vanish identically (triangular zeros)
-    return abs(lhs - rhs) / denom
+    return relative_residual(lhs, global_sign(n) * rhs_raw, scale=max(s1, s2))
 
 
 @dataclass(frozen=True)
 class DualityInterface:
-    """Evaluator for the two-slot interpolation function.
+    """Evaluator for the two-slot interpolation function at the point p,
+    whose z slots hold z, mu slots the dual equivariant parameters z' and
+    log_h hbar.
 
-    Holds the inverse of the restriction matrix built with the Kahler slots
-    replaced by the dual equivariant parameters; evaluations share it
-    read-only.
+    Holds the inverse of the restriction matrix at p; evaluations share it
+    read-only.  The dual-side weight functions are evaluated at
+    kappa_substitute(p): z slots z' reversed, Kahler arguments 1/z.
     """
 
-    p: ParameterPoint                      # log_z = z, log_h = hbar
-    log_z_dual: tuple[complex, ...]        # z'
-    dual_log_mu: tuple[complex, ...]       # mu arguments of the dual-side W
+    p: ParameterPoint
     ctx: ThetaContext
-
-    @classmethod
-    def create(cls, p: ParameterPoint, ctx: ThetaContext,
-               log_z_dual=None, dual_log_mu=None) -> "DualityInterface":
-        """By default z' is read from p.log_mu and the dual-side Kahler
-        arguments are 1/z."""
-        if log_z_dual is None:
-            log_z_dual = p.log_mu
-        if dual_log_mu is None:
-            dual_log_mu = tuple(-v for v in p.log_z)
-        return cls(p=p, log_z_dual=tuple(log_z_dual),
-                   dual_log_mu=tuple(dual_log_mu), ctx=ctx)
-
-    @cached_property
-    def _base_point(self) -> ParameterPoint:
-        return ParameterPoint(log_z=self.p.log_z, log_mu=self.log_z_dual,
-                              log_h=self.p.log_h)
 
     @cached_property
     def _dual_point(self) -> ParameterPoint:
-        return ParameterPoint(log_z=self.log_z_dual[::-1],
-                              log_mu=self.dual_log_mu, log_h=self.p.log_h)
+        return kappa_substitute(self.p)
 
     @cached_property
     def _inverse(self) -> np.ndarray:
-        A = build_A_direct(Permutation.identity(self.p.n), self._base_point,
-                           self.ctx).entries
+        A = build_A_direct(Permutation.identity(self.p.n), self.p, self.ctx).entries
         inv = np.linalg.inv(A)
         cond = np.linalg.norm(A, 1) * np.linalg.norm(inv, 1)
         if cond > 1.0 / self.ctx.tol:
@@ -108,7 +86,7 @@ class DualityInterface:
         n = self.p.n
         order = all_permutations(n)
         inv = self._inverse
-        w_first = [W(J, t, self._base_point, self.ctx) for J in order]
+        w_first = [W(J, t, self.p, self.ctx) for J in order]
         w_second = [W(mirror_index(I), t_prime, self._dual_point, self.ctx)
                     for I in order]
         total = 0.0 + 0j
@@ -118,18 +96,10 @@ class DualityInterface:
         return global_sign(n) * total
 
 
-def interface_value(t: ChernPoint, t_prime: ChernPoint, p: ParameterPoint,
-                    dual_log_mu, ctx: ThetaContext) -> complex:
-    """One-shot evaluation of the interpolation function; p carries z in its
-    z slots, z' in its mu slots and hbar.  Pass dual_log_mu=None for the
-    default dual-side Kahler arguments 1/z."""
-    return DualityInterface.create(p, ctx, dual_log_mu=dual_log_mu).value(t, t_prime)
-
-
 def interface_first_restriction(iface: DualityInterface, I: Permutation) -> ChernPoint:
     """Second-slot fixed point: restriction point of I^{-1} in the dual
     equivariant parameters."""
-    dual = ParameterPoint(log_z=iface.log_z_dual, log_mu=iface.log_z_dual,
+    dual = ParameterPoint(log_z=iface.p.log_mu, log_mu=iface.p.log_mu,
                           log_h=iface.p.log_h)
     return restriction_point(I.inverse(), dual)
 
@@ -146,10 +116,8 @@ def interpolation_residuals(iface: DualityInterface, I: Permutation,
     n = iface.p.n
     sgn = global_sign(n)
     lhs1 = iface.value(t, interface_first_restriction(iface, I))
-    rhs1 = W(I, t, iface._base_point, iface.ctx)
-    r1 = abs(lhs1 - rhs1) / (abs(lhs1) + abs(rhs1) + 1e-300)
+    rhs1 = W(I, t, iface.p, iface.ctx)
     lhs2 = iface.value(interface_second_restriction(iface, I), t_prime)
     comp = compose(I, Permutation.longest(n))   # word n + 1 - I_j
     rhs2 = sgn * W(comp, t_prime, iface._dual_point, iface.ctx)
-    r2 = abs(lhs2 - rhs2) / (abs(lhs2) + abs(rhs2) + 1e-300)
-    return r1, r2
+    return relative_residual(lhs1, rhs1), relative_residual(lhs2, rhs2)

@@ -25,6 +25,12 @@ from .errors import RangeError
 #: machine epsilon for double precision
 _EPS = 2.220446049250313e-16
 
+#: overflow guard: |Re lx| above this raises RangeError
+LOG_RANGE = 32.0
+
+#: modulus below which a theta denominator counts as a pole
+POLE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class LogValue:
@@ -78,17 +84,11 @@ class ThetaContext:
         Number of retained factors in each infinite product.
     tol : float
         Acceptance tolerance for identity residuals.
-    log_range : float
-        Overflow guard: |Re lx| above this raises RangeError.
-    pole_tol : float
-        Modulus below which a theta denominator counts as a pole.
     """
 
     log_q: complex
     trunc: int
     tol: float = 1e-8
-    log_range: float = 32.0
-    pole_tol: float = 1e-12
 
     def __post_init__(self):
         if not abs(cmath.exp(self.log_q)) < 1.0:
@@ -106,12 +106,12 @@ class ThetaContext:
 
     @classmethod
     def create(cls, q: complex = 0.3, trunc: int | None = None,
-               tol: float = 1e-8, **kwargs) -> "ThetaContext":
+               tol: float = 1e-8) -> "ThetaContext":
         """Build a context from the modular parameter itself."""
         q = complex(q)
         if trunc is None:
             trunc = default_trunc(q)
-        return cls(log_q=cmath.log(q), trunc=trunc, tol=tol, **kwargs)
+        return cls(log_q=cmath.log(q), trunc=trunc, tol=tol)
 
 
 @lru_cache(maxsize=32)
@@ -123,8 +123,8 @@ def _q_powers(log_q: complex, trunc: int) -> np.ndarray:
 def phi(ctx: ThetaContext, lx) -> complex:
     """Truncated q-Pochhammer product prod_{s=0}^{trunc-1} (1 - q^s exp(lx))."""
     w = _as_log(lx)
-    if abs(w.real) > ctx.log_range:
-        raise RangeError(f"|Re log x| = {abs(w.real):.3g} exceeds {ctx.log_range}")
+    if abs(w.real) > LOG_RANGE:
+        raise RangeError(f"|Re log x| = {abs(w.real):.3g} exceeds {LOG_RANGE}")
     x = cmath.exp(w)
     return complex(np.prod(1.0 - _q_powers(ctx.log_q, ctx.trunc) * x))
 
@@ -132,8 +132,8 @@ def phi(ctx: ThetaContext, lx) -> complex:
 def theta(ctx: ThetaContext, lx) -> complex:
     """Skew Jacobi theta function of x = exp(lx)."""
     w = _as_log(lx)
-    if abs(w.real) > ctx.log_range:
-        raise RangeError(f"|Re log x| = {abs(w.real):.3g} exceeds {ctx.log_range}")
+    if abs(w.real) > LOG_RANGE:
+        raise RangeError(f"|Re log x| = {abs(w.real):.3g} exceeds {LOG_RANGE}")
     qs = _q_powers(ctx.log_q, ctx.trunc)
     xp = cmath.exp(ctx.log_q + w)
     xm = cmath.exp(ctx.log_q - w)

@@ -27,6 +27,17 @@ def restriction_point(J: Permutation, p: ParameterPoint) -> ChernPoint:
         tuple(p.z(i) for i in tab.ordered[k]) for k in range(n - 1)))
 
 
+def relative_residual(lhs: complex, *terms: complex, scale: float = 0.0) -> float:
+    """Residual |lhs - t1 - t2 ...| / (|lhs| + sum |t_i| + scale) of an
+    identity lhs = t1 + t2 + ...; normalizing by the term moduli keeps
+    cancellation between terms from reading as error, and ``scale`` adds
+    any further modulus met while evaluating the terms."""
+    diff, size = lhs, abs(lhs)
+    for t in terms:
+        diff, size = diff - t, size + abs(t)
+    return abs(diff) / (size + scale + 1e-300)
+
+
 def A_direct(sigma: Permutation, I: Permutation, J: Permutation,
              p: ParameterPoint, ctx: ThetaContext) -> complex:
     """Matrix entry by direct evaluation: W_sigma at the column's
@@ -92,12 +103,12 @@ class RestrictionMatrix:
         scale = max(self.max_abs(), other.max_abs(), 1e-300)
         return float(np.max(np.abs(self.entries - other.entries))) / scale
 
-    def zero_pairs(self, tol: float | None = None) -> list[tuple[Permutation, Permutation]]:
+    def zero_pairs(self, tol: float) -> list[tuple[Permutation, Permutation]]:
         """Observed numerically-zero entries (support is recorded, not
         asserted: vanishing beyond strict Bruhat order is an observation)."""
         out = []
         for i, I in enumerate(self.order):
-            thresh = (tol if tol is not None else 1e-8) * (1.0 + self.row_scale(I))
+            thresh = tol * (1.0 + self.row_scale(I))
             for j, J in enumerate(self.order):
                 if abs(self.entries[i, j]) < thresh:
                     out.append((I, J))

@@ -14,11 +14,12 @@ matrix together:
   entries at x = mu_{k+1}/mu_k with a = n - J_k + 1, b = n - J_{k+1} + 1
   read off the column word, valid when J_k > J_{k+1}.
 
-Each relation, instantiated twice (once at the swapped point), solves to a
-two-term update.  The exchange recursion grows rows upward from the row of
-the identity; the dual recursion grows columns downward from the column of
-the longest permutation.  Both seeds are fixed by triangularity plus the
-closed-form diagonal.
+Each relation is described once; its residual and its recursion both read
+that description.  Instantiated twice (once at the swapped point), it
+solves to a two-term update.  The exchange recursion grows rows upward
+from the row of the identity; the dual recursion grows columns downward
+from the column of the longest permutation.  Both seeds are fixed by
+triangularity plus the closed-form diagonal.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ import numpy as np
 
 from .errors import ConsistencyError, PoleError, ResonanceError
 from .permcomb import Permutation, all_permutations
-from .qtheta import ThetaContext, theta
-from .restriction import A_diagonal, A_direct, RestrictionMatrix
+from .qtheta import POLE_TOL, ThetaContext, theta
+from .restriction import (A_diagonal, A_direct, RestrictionMatrix,
+                          relative_residual)
 from .weightfn import ParameterPoint
 
 FELDER_KINDS = ("diag_equal", "diag", "exchange")
@@ -55,7 +57,7 @@ def felder_R(kind: str, j: int, k: int, lx, p: ParameterPoint,
     lmu = p.mu(j) - p.mu(k)
     den_x = theta(ctx, lx + p.log_h)
     den_mu = theta(ctx, lmu)
-    if abs(den_x) < ctx.pole_tol or abs(den_mu) < ctx.pole_tol:
+    if abs(den_x) < POLE_TOL or abs(den_mu) < POLE_TOL:
         raise PoleError("R-matrix denominator vanished")
     if kind == "diag":
         return theta(ctx, lx) * theta(ctx, p.log_h + lmu) / (den_x * den_mu)
@@ -79,81 +81,104 @@ def dual_R(kind: str, j: int, k: int, lx, p: ParameterPoint,
 
 
 # ---------------------------------------------------------------------------
-# raw relation residuals
+# the two relations, each read by its residual and by its recursion
 # ---------------------------------------------------------------------------
+
+def _exchange_coeffs(p: ParameterPoint, ctx: ThetaContext, anchor: Permutation,
+                     k: int, slots: Permutation) -> tuple[complex, complex]:
+    a, b = anchor.inverse()(k), anchor.inverse()(k + 1)
+    x = p.z(slots(k)) - p.z(slots(k + 1))
+    return felder_R("diag", a, b, x, p, ctx), felder_R("exchange", b, a, x, p, ctx)
+
+
+def _dual_coeffs(p: ParameterPoint, ctx: ThetaContext, anchor: Permutation,
+                 k: int, slots: Permutation) -> tuple[complex, complex]:
+    a, b = p.n - anchor(k) + 1, p.n - anchor(k + 1) + 1
+    x = p.mu(slots(k + 1)) - p.mu(slots(k))
+    return dual_R("diag", a, b, x, p, ctx), dual_R("exchange", b, a, x, p, ctx)
+
+
+@dataclass(frozen=True)
+class _Relation:
+    """For a step k in steps(X) of the grown index X (the row, or the
+    column when ``transpose`` is set), its anchor move(X, k), the other
+    index Y and (r1, r2) = coeffs(p, ctx, anchor, k, slots):
+
+        A[X, move(Y, k)] at point(p, slots.pos_swap(k))
+            = r1 A[anchor, Y] + r2 A[X, Y], both at point(p, slots).
+
+    The one grown index without steps seeds the recursion.
+    """
+
+    steps: Callable[[Permutation], list[int]]
+    move: Callable[[Permutation, int], Permutation]
+    coeffs: Callable[..., tuple[complex, complex]]
+    point: Callable[[ParameterPoint, Permutation], ParameterPoint]
+    transpose: bool
+
+    def cell(self, X: Permutation, Y: Permutation) -> tuple[Permutation, Permutation]:
+        """(row, column) of grown index X and other index Y, and back."""
+        return (Y, X) if self.transpose else (X, Y)
+
+
+_EXCHANGE = _Relation(Permutation.value_descents, Permutation.value_swap,
+                      _exchange_coeffs, ParameterPoint.permute_z, transpose=False)
+_DUAL = _Relation(Permutation.word_ascents, Permutation.pos_swap,
+                  _dual_coeffs, ParameterPoint.permute_mu, transpose=True)
+
+
+def _relation_residual(rel: _Relation, X: Permutation, Y: Permutation, k: int,
+                       p: ParameterPoint, ctx: ThetaContext, entry) -> float:
+    """Normalized residual of ``rel`` for the pair {X, move(X, k)} at the
+    other index Y; either member of the pair gives the same residual."""
+    ident = Permutation.identity(p.n)
+    if entry is None:
+        entry = lambda I_, J_, p_: A_direct(ident, I_, J_, p_, ctx)
+    if k not in rel.steps(X):
+        X = rel.move(X, k)
+    anchor = rel.move(X, k)
+    r1, r2 = rel.coeffs(p, ctx, anchor, k, ident)
+    lhs = entry(*rel.cell(X, rel.move(Y, k)), rel.point(p, ident.pos_swap(k)))
+    t1 = r1 * entry(*rel.cell(anchor, Y), p)
+    t2 = r2 * entry(*rel.cell(X, Y), p)
+    return relative_residual(lhs, t1, t2)
+
 
 def exchange_residual(I: Permutation, J: Permutation, k: int,
                       p: ParameterPoint, ctx: ThetaContext,
                       entry=None) -> float:
-    """Normalized residual of the exchange relation for the pair
-    {I, I value_swap k} at column J.
-
-    The relation is anchored at the member with the values k, k+1 in
-    natural order; passing either member gives the same residual.  The
-    ``entry`` callable (defaults to direct evaluation) maps
-    (I, J, point) -> complex and lets callers reuse precomputed matrices.
-    The residual is normalized by the combined modulus of the three terms,
-    so cancellation between them does not masquerade as error.
-    """
-    if entry is None:
-        ident = Permutation.identity(len(I))
-        entry = lambda I_, J_, p_: A_direct(ident, I_, J_, p_, ctx)
-    if I.inverse()(k) > I.inverse()(k + 1):
-        I = I.value_swap(k)
-    a, b = I.inverse()(k), I.inverse()(k + 1)
-    x = p.z(k) - p.z(k + 1)
-    r1 = felder_R("diag", a, b, x, p, ctx)
-    r2 = felder_R("exchange", b, a, x, p, ctx)
-    lhs = entry(I.value_swap(k), J.value_swap(k), p.swap_z(k))
-    t1 = r1 * entry(I, J, p)
-    t2 = r2 * entry(I.value_swap(k), J, p)
-    return abs(lhs - t1 - t2) / (abs(lhs) + abs(t1) + abs(t2) + 1e-300)
+    """Normalized residual of the exchange relation for the row pair
+    {I, I value_swap k} at column J.  The ``entry`` callable (defaults to
+    direct evaluation) maps (I, J, point) -> complex and lets callers reuse
+    precomputed matrices."""
+    return _relation_residual(_EXCHANGE, I, J, k, p, ctx, entry)
 
 
 def dual_residual(I: Permutation, J: Permutation, k: int,
                   p: ParameterPoint, ctx: ThetaContext,
                   entry=None) -> float:
     """Normalized residual of the dual relation for the column pair
-    {J, J pos_swap k} at row I, anchored at the member with J_k > J_{k+1};
-    normalization as in exchange_residual."""
-    if entry is None:
-        ident = Permutation.identity(len(I))
-        entry = lambda I_, J_, p_: A_direct(ident, I_, J_, p_, ctx)
-    if J(k) < J(k + 1):
-        J = J.pos_swap(k)
-    n = len(J)
-    a, b = n - J(k) + 1, n - J(k + 1) + 1
-    x = p.mu(k + 1) - p.mu(k)
-    r1 = dual_R("diag", a, b, x, p, ctx)
-    r2 = dual_R("exchange", b, a, x, p, ctx)
-    lhs = entry(I.pos_swap(k), J.pos_swap(k), p.swap_mu(k))
-    t1 = r1 * entry(I, J, p)
-    t2 = r2 * entry(I, J.pos_swap(k), p)
-    return abs(lhs - t1 - t2) / (abs(lhs) + abs(t1) + abs(t2) + 1e-300)
+    {J, J pos_swap k} at row I; ``entry`` as in exchange_residual."""
+    return _relation_residual(_DUAL, J, I, k, p, ctx, entry)
 
 
 # ---------------------------------------------------------------------------
-# recursion drivers
+# recursion driver
 # ---------------------------------------------------------------------------
 
 @dataclass
 class _TwoTermRecursion:
-    """Memoized two-term update shared by both recursions.
+    """Memoized two-term update of one relation at the point p.
 
     ``value(X, Y, slots)`` is the entry with grown index X and other index
-    Y at the point whose slots (z or mu) are permuted by ``slots``.  The
-    grown index starts at ``seed``, where triangularity plus the closed-form
-    diagonal fix the value.  Any other X comes from ``prev = move(X, k)``
-    for a step k in ``steps(X)``, where ``coeffs(prev, k, slots)`` gives the
-    relation's coefficients (r1, r2) and the relation instantiated at
-    ``slots`` and at its k-th position swap solves to the update below.
+    Y at ``rel.point(p, slots)``.  At the seed, triangularity plus the
+    closed-form diagonal fix the value.  Any other X comes from its anchor
+    move(X, k) for a step k: the relation at ``slots`` and at its k-th
+    position swap solves to the update below.
     """
 
-    seed: Permutation
-    steps: Callable[[Permutation], list[int]]
-    move: Callable[[Permutation, int], Permutation]
-    coeffs: Callable[[Permutation, int, Permutation], tuple[complex, complex]]
-    seed_point: Callable[[Permutation], ParameterPoint]
+    rel: _Relation
+    p: ParameterPoint
     ctx: ThetaContext
     memo: dict = field(default_factory=dict)
 
@@ -162,47 +187,48 @@ class _TwoTermRecursion:
         key = (X.word, Y.word, slots.word, k_choice)
         if key in self.memo:
             return self.memo[key]
-        if X.word == self.seed.word:
-            v = A_diagonal(self.seed, self.seed_point(slots), self.ctx) \
-                if Y.word == self.seed.word else 0.0 + 0j
+        rel = self.rel
+        steps = rel.steps(X)
+        if not steps:
+            v = A_diagonal(X, rel.point(self.p, slots), self.ctx) \
+                if Y.word == X.word else 0.0 + 0j
             self.memo[key] = v
             return v
-        k = k_choice if k_choice is not None else self.steps(X)[0]
-        prev = self.move(X, k)
+        k = k_choice if k_choice is not None else steps[0]
+        anchor = rel.move(X, k)
         swapped = slots.pos_swap(k)
         try:
-            r1c, r2c = self.coeffs(prev, k, slots)
-            r1s, r2s = self.coeffs(prev, k, swapped)
+            r1c, r2c = rel.coeffs(self.p, self.ctx, anchor, k, slots)
+            r1s, r2s = rel.coeffs(self.p, self.ctx, anchor, k, swapped)
         except PoleError as exc:
             raise ResonanceError(f"resonant coefficient at {X.word}: {exc}")
         den = 1.0 - r2c * r2s
-        if abs(den) < self.ctx.pole_tol ** 0.5:
+        if abs(den) < POLE_TOL ** 0.5:
             raise ResonanceError(f"singular update at {X.word}")
-        v = (r1s * self.value(prev, self.move(Y, k), swapped)
-             + r2s * r1c * self.value(prev, Y, slots)) / den
+        v = (r1s * self.value(anchor, rel.move(Y, k), swapped)
+             + r2s * r1c * self.value(anchor, Y, slots)) / den
         self.memo[key] = v
         return v
 
 
-def _assemble(rec: _TwoTermRecursion, p: ParameterPoint, ctx: ThetaContext,
-              provenance: str, crosscheck: bool,
-              transpose: bool = False) -> RestrictionMatrix:
-    """Matrix of a recursion that grows rows, or columns when ``transpose``
-    is set.  The crosscheck rebuilds every grown index through each
-    alternative step and requires agreement."""
+def _assemble(rel: _Relation, p: ParameterPoint, ctx: ThetaContext,
+              provenance: str, crosscheck: bool) -> RestrictionMatrix:
+    """Matrix rebuilt by the recursion of ``rel``.  The crosscheck rebuilds
+    every grown index through each alternative step and requires
+    agreement."""
+    rec = _TwoTermRecursion(rel, p, ctx)
     order = all_permutations(p.n)
     ident = Permutation.identity(p.n)
-    cell = (lambda X, Y: (Y, X)) if transpose else (lambda X, Y: (X, Y))
-    entries = np.array([[rec.value(*cell(I, J), ident) for J in order]
+    entries = np.array([[rec.value(*rel.cell(I, J), ident) for J in order]
                         for I in order], dtype=complex)
     matrix = RestrictionMatrix(n=p.n, sigma=ident, order=order, entries=entries,
                                provenance=provenance, point=p)
     if crosscheck:
         scale = 1.0 + matrix.max_abs()
         for X in order:
-            for k in rec.steps(X)[1:]:
+            for k in rel.steps(X)[1:]:
                 for Y in order:
-                    I, J = cell(X, Y)
+                    I, J = rel.cell(X, Y)
                     delta = abs(rec.value(X, Y, ident, k) - matrix.entry(I, J)) / scale
                     if delta > ctx.tol:
                         raise ConsistencyError(
@@ -215,25 +241,11 @@ def build_A_by_R_recursion(p: ParameterPoint, ctx: ThetaContext,
                            crosscheck: bool = False) -> RestrictionMatrix:
     """Rebuild the full matrix from the closed-form diagonal using the
     exchange relation, row by row in length order."""
-    def coeffs(prev: Permutation, k: int, slots: Permutation):
-        a, b = prev.inverse()(k), prev.inverse()(k + 1)
-        x = p.z(slots(k)) - p.z(slots(k + 1))
-        return felder_R("diag", a, b, x, p, ctx), felder_R("exchange", b, a, x, p, ctx)
-
-    rec = _TwoTermRecursion(Permutation.identity(p.n), Permutation.value_descents,
-                            Permutation.value_swap, coeffs, p.permute_z, ctx)
-    return _assemble(rec, p, ctx, "r_recursion", crosscheck)
+    return _assemble(_EXCHANGE, p, ctx, "r_recursion", crosscheck)
 
 
 def build_A_by_dual_recursion(p: ParameterPoint, ctx: ThetaContext,
                               crosscheck: bool = False) -> RestrictionMatrix:
     """Rebuild the full matrix from the closed-form diagonal using the dual
     relation, column by column in co-length order."""
-    def coeffs(prev: Permutation, k: int, slots: Permutation):
-        a, b = p.n - prev(k) + 1, p.n - prev(k + 1) + 1
-        x = p.mu(slots(k + 1)) - p.mu(slots(k))
-        return dual_R("diag", a, b, x, p, ctx), dual_R("exchange", b, a, x, p, ctx)
-
-    rec = _TwoTermRecursion(Permutation.longest(p.n), Permutation.word_ascents,
-                            Permutation.pos_swap, coeffs, p.permute_mu, ctx)
-    return _assemble(rec, p, ctx, "dual_recursion", crosscheck, transpose=True)
+    return _assemble(_DUAL, p, ctx, "dual_recursion", crosscheck)

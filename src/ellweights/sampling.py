@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ResamplingError
 from .qtheta import ThetaContext
-from .weightfn import RESONANCE_TOL, ChernPoint, ParameterPoint, is_generic
+from .weightfn import ChernPoint, ParameterPoint, is_generic
 
 #: minimum pairwise distance between logs in the same group
 SEPARATION = 0.05
@@ -41,7 +41,7 @@ def random_parameter_point(n: int, rng: np.random.Generator, ctx: ThetaContext,
         if not (_separated(lz) and _separated(lmu)):
             continue
         p = ParameterPoint(log_z=lz, log_mu=lmu, log_h=lh)
-        if is_generic(p, ctx, RESONANCE_TOL):
+        if is_generic(p, ctx):
             return p
     raise ResamplingError(f"no non-resonant point found in {max_tries} draws")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import PoleError
 from .permcomb import Permutation, compose_values, fixed_point_tables
-from .qtheta import ThetaContext, theta
+from .qtheta import POLE_TOL, ThetaContext, theta
 
 #: theta-denominator modulus below which a random point counts as resonant
 RESONANCE_TOL = 1e-4
@@ -102,9 +102,8 @@ def resonance_margin(p: ParameterPoint, ctx: ThetaContext) -> float:
     return min(vals)
 
 
-def is_generic(p: ParameterPoint, ctx: ThetaContext,
-               threshold: float = RESONANCE_TOL) -> bool:
-    return resonance_margin(p, ctx) >= threshold
+def is_generic(p: ParameterPoint, ctx: ThetaContext) -> bool:
+    return resonance_margin(p, ctx) >= RESONANCE_TOL
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,7 @@ def U(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext,
     """
     n = len(I)
     levels = _level_args(I, t, p)
-    guard = 0.0 if at_restriction else ctx.pole_tol
+    guard = 0.0 if at_restriction else POLE_TOL
     num = 1.0 + 0j
     den = 1.0 + 0j
     for k in range(1, n):

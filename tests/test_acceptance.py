@@ -179,7 +179,7 @@ def test_criterion_8_duality_interface(actx):
     for n in (2, 3):
         for _ in range(3):
             p = random_parameter_point(n, rng, actx)
-            iface = DualityInterface.create(p, actx)
+            iface = DualityInterface(p, actx)
             t = random_chern_point(n, rng)
             tp = random_chern_point(n, rng)
             for I in all_permutations(n):

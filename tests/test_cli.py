@@ -46,6 +46,8 @@ class TestRunConfig:
             RunConfig(suites=("mirror", "nonsense"))
         with pytest.raises(ValueError):
             RunConfig(n=6)
+        with pytest.raises(ValueError):
+            RunConfig(n=3, mode="matrix", sigma=(2, 1))
         RunConfig(n=6, allow_large=True)
 
     def test_context(self):
@@ -221,6 +223,9 @@ class TestCommandLine:
         out = capsys.readouterr().out
         report = json.loads(out)
         assert report["pass"] is True
+        # a chamber word of the wrong length is a configuration error
+        assert main(["matrix", "--n", "3", "--sigma", "2,1"]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_main_config_error(self, capsys):
         assert main(["verify", "--n", "6"]) == 2

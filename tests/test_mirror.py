@@ -4,7 +4,7 @@ import pytest
 
 from ellweights import (A_direct, DualityInterface, IllConditionedError,
                         ParameterPoint, Permutation, ThetaContext,
-                        all_permutations, global_sign, interface_value,
+                        all_permutations, global_sign,
                         interpolation_residuals, kappa_substitute,
                         mirror_index, mirror_residual, random_chern_point,
                         random_parameter_point)
@@ -86,14 +86,14 @@ class TestInterface:
         from ellweights import ChernPoint
         p = ParameterPoint(log_z=(0.4,), log_mu=(0.8,), log_h=0.15)
         t = ChernPoint(())
-        v = interface_value(t, t, p, None, ctx)
+        v = DualityInterface(p, ctx).value(t, t)
         # n = 1: single term A^{-1} W W with every factor equal to 1
         assert abs(v - 1.0) < 1e-14
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_interpolation_both_slots(self, n, ctx, rng):
         p = random_parameter_point(n, rng, ctx)
-        iface = DualityInterface.create(p, ctx)
+        iface = DualityInterface(p, ctx)
         t = random_chern_point(n, rng)
         tp = random_chern_point(n, rng)
         for I in all_permutations(n):
@@ -101,18 +101,11 @@ class TestInterface:
             assert r1 < ctx.tol
             assert r2 < ctx.tol
 
-    def test_interface_value_matches_evaluator(self, ctx, rng):
-        p = random_parameter_point(2, rng, ctx)
-        t = random_chern_point(2, rng)
-        tp = random_chern_point(2, rng)
-        iface = DualityInterface.create(p, ctx)
-        assert interface_value(t, tp, p, None, ctx) == iface.value(t, tp)
-
     def test_condition_guard(self, rng):
         # with tol = 1 the guard 1/tol is below any realistic condition number
         strict = ThetaContext.create(q=0.3, tol=1.0)
         p = random_parameter_point(2, rng, strict)
-        iface = DualityInterface.create(p, strict)
+        iface = DualityInterface(p, strict)
         t = random_chern_point(2, rng)
         with pytest.raises(IllConditionedError):
             iface.value(t, t)

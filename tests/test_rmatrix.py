@@ -5,7 +5,7 @@ import pytest
 from ellweights import (ConsistencyError, ParameterPoint, Permutation,
                         PoleError, ResonanceError, ThetaContext, all_permutations,
                         build_A_by_dual_recursion, build_A_by_R_recursion,
-                        build_A_direct, dual_R, dual_residual,
+                        build_A_direct, dual_R, dual_residual, entry_cache,
                         exchange_residual, felder_R, random_parameter_point)
 
 # Frozen outputs of the direct theta-ratio oracle at q = 0.3,
@@ -89,6 +89,19 @@ class TestRelationResiduals:
                 for J in all_permutations(n):
                     for k in range(1, n):
                         assert dual_residual(I, J, k, p, ctx) < ctx.tol
+
+    def test_either_member_of_a_pair_gives_the_same_residual(self, ctx, rng):
+        p = random_parameter_point(3, rng, ctx)
+        entry = entry_cache(ctx)
+        for I in all_permutations(3):
+            for J in all_permutations(3):
+                for k in (1, 2):
+                    assert (exchange_residual(I, J, k, p, ctx, entry=entry)
+                            == exchange_residual(I.value_swap(k), J, k, p, ctx,
+                                                 entry=entry))
+                    assert (dual_residual(I, J, k, p, ctx, entry=entry)
+                            == dual_residual(I, J.pos_swap(k), k, p, ctx,
+                                             entry=entry))
 
     def test_rewritten_update_matches_direct(self, ctx, rng):
         # the solved two-term update behind the row recursion, checked
