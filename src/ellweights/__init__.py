@@ -6,11 +6,10 @@ __version__ = "0.1.0"
 
 from .errors import (ConsistencyError, EvaluationError, IllConditionedError,
                      PoleError, RangeError, ResamplingError, ResonanceError)
-from .qtheta import LogValue, ThetaContext, phi, theta
-from .permcomb import (FixedPointTables, Permutation, TangentCharacter,
-                       TorusWeight, all_permutations, bruhat_leq, compose,
-                       compose_values, fixed_point_tables, mirror_index,
-                       p_function, tangent_character)
+from .qtheta import ThetaContext, phi, theta
+from .permcomb import (FixedPointTables, Permutation, all_permutations,
+                       bruhat_leq, compose, compose_values, fixed_point_tables,
+                       mirror_index, p_function)
 from .weightfn import (ChernPoint, P, ParameterPoint, U, W, W_sigma,
                        is_generic, psi, weight_terms)
 from .restriction import (A_diagonal, A_direct, RestrictionMatrix,
@@ -26,10 +25,10 @@ __all__ = [
     "__version__",
     "ConsistencyError", "EvaluationError", "IllConditionedError", "PoleError",
     "RangeError", "ResamplingError", "ResonanceError",
-    "LogValue", "ThetaContext", "phi", "theta",
-    "FixedPointTables", "Permutation", "TangentCharacter", "TorusWeight",
-    "all_permutations", "bruhat_leq", "compose", "compose_values",
-    "fixed_point_tables", "mirror_index", "p_function", "tangent_character",
+    "ThetaContext", "phi", "theta",
+    "FixedPointTables", "Permutation", "all_permutations", "bruhat_leq",
+    "compose", "compose_values", "fixed_point_tables", "mirror_index",
+    "p_function",
     "ChernPoint", "P", "ParameterPoint", "U", "W", "W_sigma", "is_generic",
     "psi", "weight_terms",
     "A_diagonal", "A_direct", "RestrictionMatrix", "ao_normalization_factor",

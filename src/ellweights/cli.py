@@ -28,8 +28,8 @@ from .mirror import (DualityInterface, interpolation_residuals,
                      mirror_residual)
 from .permcomb import Permutation, all_permutations, compose
 from .qtheta import ThetaContext, theta
-from .restriction import (A_diagonal, A_direct, build_A_direct, entry_cache,
-                          relative_residual)
+from .restriction import (A_diagonal, A_direct, RestrictionMatrix,
+                          build_A_direct, entry_cache, relative_residual)
 from .rmatrix import (build_A_by_dual_recursion, build_A_by_R_recursion,
                       dual_residual, exchange_residual)
 from .sampling import random_chern_point, random_parameter_point
@@ -336,13 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--allow-large", action="store_true",
                         help="lift the default cap n <= 5")
         sp.add_argument("--out", default=None, help="write the JSON report here")
-        sp.add_argument("--csv", default=None,
-                        help="write matrix moduli as CSV here (matrix mode)")
 
     sp_matrix = sub.add_parser("matrix", help="build restriction matrices")
     common(sp_matrix)
     sp_matrix.add_argument("--sigma", type=_parse_sigma, default=None,
                            help="chamber permutation word, e.g. 2,1,3")
+    sp_matrix.add_argument("--csv", default=None,
+                           help="write the direct matrix moduli as CSV here")
 
     sp_weights = sub.add_parser("weights", help="evaluate weight functions")
     common(sp_weights)
@@ -378,10 +378,10 @@ def main(argv: list[str] | None = None) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    if args.csv and config.mode == "matrix" and "matrix" in report:
-        from .restriction import RestrictionMatrix
+    csv = getattr(args, "csv", None)
+    if csv and "matrix" in report:
         mat = RestrictionMatrix.from_json_dict(report["matrix"]["direct"])
-        with open(args.csv, "w") as fh:
+        with open(csv, "w") as fh:
             fh.write(mat.to_csv())
     return status
 

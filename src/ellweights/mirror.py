@@ -38,7 +38,7 @@ def global_sign(n: int) -> int:
 
 def _entry_with_scale(I: Permutation, J: Permutation, p: ParameterPoint,
                       ctx: ThetaContext) -> tuple[complex, float]:
-    terms = weight_terms(I, restriction_point(J, p), p, ctx, at_restriction=True)
+    terms = weight_terms(I, restriction_point(J, p), p, ctx)
     return sum(terms), max(abs(t) for t in terms)
 
 

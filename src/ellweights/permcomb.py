@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 
 @dataclass(frozen=True, order=True)
@@ -58,10 +58,6 @@ class Permutation:
             w[v - 1] = j + 1
         return Permutation(tuple(w))
 
-    def position(self, value: int) -> int:
-        """1-based position of a value in the word."""
-        return self.word.index(value) + 1
-
     def length(self) -> int:
         """Inversion count."""
         w = self.word
@@ -81,11 +77,6 @@ class Permutation:
         """Swap values k, k+1 wherever they occur (right multiplication by s_k)."""
         m = {k: k + 1, k + 1: k}
         return Permutation(tuple(m.get(v, v) for v in self.word))
-
-    def word_descents(self) -> list[int]:
-        """Positions k with I_k > I_{k+1}."""
-        w = self.word
-        return [k for k in range(1, len(w)) if w[k - 1] > w[k]]
 
     def word_ascents(self) -> list[int]:
         w = self.word
@@ -180,49 +171,3 @@ def p_function(I: Permutation, j: int, m: int) -> int:
     if not 1 <= j <= len(I):
         raise ValueError(f"index j={j} out of range 1..{len(I)}")
     return 1 if I.word[j - 1] < m else 0
-
-
-class TorusWeight(NamedTuple):
-    """Multiplicative torus weight hbar^h_exp * prod_a z_a^z_exp[a-1]."""
-
-    h_exp: int
-    z_exp: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class TangentCharacter:
-    """Attracting/repelling decomposition of the tangent weights at a
-    fixed point for the chosen chamber."""
-
-    plus: tuple[TorusWeight, ...]
-    minus: tuple[TorusWeight, ...]
-
-
-def _ratio(n: int, a: int, b: int, h_exp: int) -> TorusWeight:
-    z = [0] * n
-    z[a - 1] += 1
-    z[b - 1] -= 1
-    return TorusWeight(h_exp, tuple(z))
-
-
-def tangent_character(I: Permutation, chamber: str = "standard") -> TangentCharacter:
-    """Tangent weights at fixed point I split by the cocharacter
-    (1, 2, ..., n); ``chamber="reverse"`` gives the opposite chamber,
-    which exchanges the two halves."""
-    if chamber not in ("standard", "reverse"):
-        raise ValueError(f"unsupported chamber {chamber!r}")
-    n = len(I)
-    minus: list[TorusWeight] = []
-    plus: list[TorusWeight] = []
-    for l in range(1, n):
-        for k in range(l + 1, n + 1):
-            il, ik = I.word[l - 1], I.word[k - 1]
-            if il < ik:
-                minus.append(_ratio(n, il, ik, 0))
-                plus.append(_ratio(n, ik, il, -1))
-            else:
-                plus.append(_ratio(n, il, ik, 0))
-                minus.append(_ratio(n, ik, il, -1))
-    if chamber == "reverse":
-        plus, minus = minus, plus
-    return TangentCharacter(plus=tuple(plus), minus=tuple(minus))

@@ -32,37 +32,6 @@ LOG_RANGE = 32.0
 POLE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LogValue:
-    """Complex logarithm of a multiplicative parameter.
-
-    ``LogValue(l)`` represents x = exp(l); negating the log inverts the
-    value exactly, adding logs multiplies values.
-    """
-
-    value: complex
-
-    def __neg__(self) -> "LogValue":
-        return LogValue(-self.value)
-
-    def __add__(self, other) -> "LogValue":
-        return LogValue(self.value + _as_log(other))
-
-    def __sub__(self, other) -> "LogValue":
-        return LogValue(self.value - _as_log(other))
-
-    def exp(self) -> complex:
-        return cmath.exp(self.value)
-
-    def half_power(self) -> complex:
-        """exp(l/2), the branch-fixed square root of the value."""
-        return cmath.exp(self.value / 2)
-
-
-def _as_log(lx) -> complex:
-    return lx.value if isinstance(lx, LogValue) else complex(lx)
-
-
 def default_trunc(q: complex) -> int:
     """Default product truncation: tail below 1e-36 of the leading factor
     for |q| <= 0.5, never fewer than 24 factors."""
@@ -122,7 +91,7 @@ def _q_powers(log_q: complex, trunc: int) -> np.ndarray:
 
 def phi(ctx: ThetaContext, lx) -> complex:
     """Truncated q-Pochhammer product prod_{s=0}^{trunc-1} (1 - q^s exp(lx))."""
-    w = _as_log(lx)
+    w = complex(lx)
     if abs(w.real) > LOG_RANGE:
         raise RangeError(f"|Re log x| = {abs(w.real):.3g} exceeds {LOG_RANGE}")
     x = cmath.exp(w)
@@ -131,7 +100,7 @@ def phi(ctx: ThetaContext, lx) -> complex:
 
 def theta(ctx: ThetaContext, lx) -> complex:
     """Skew Jacobi theta function of x = exp(lx)."""
-    w = _as_log(lx)
+    w = complex(lx)
     if abs(w.real) > LOG_RANGE:
         raise RangeError(f"|Re log x| = {abs(w.real):.3g} exceeds {LOG_RANGE}")
     qs = _q_powers(ctx.log_q, ctx.trunc)

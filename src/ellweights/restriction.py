@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import EvaluationError
 from .permcomb import (Permutation, all_permutations, bruhat_leq,
                        compose_values, fixed_point_tables, mirror_index)
 from .qtheta import ThetaContext
@@ -42,7 +43,7 @@ def A_direct(sigma: Permutation, I: Permutation, J: Permutation,
              p: ParameterPoint, ctx: ThetaContext) -> complex:
     """Matrix entry by direct evaluation: W_sigma at the column's
     restriction point."""
-    return W_sigma(sigma, I, restriction_point(J, p), p, ctx, at_restriction=True)
+    return W_sigma(sigma, I, restriction_point(J, p), p, ctx)
 
 
 def A_diagonal(I: Permutation, p: ParameterPoint, ctx: ThetaContext) -> complex:
@@ -160,24 +161,19 @@ def build_A_direct(sigma: Permutation, p: ParameterPoint,
                    ctx: ThetaContext) -> RestrictionMatrix:
     """Assemble the full matrix by direct evaluation, in row-major order.
 
-    Entries that fail to evaluate are collected over the whole sweep and
-    reported together.
+    The first entry that fails to evaluate stops the sweep with an error
+    of the same type naming the entry.
     """
     n = p.n
     order = all_permutations(n)
-    errors: list[str] = []
 
     def one(I: Permutation, J: Permutation) -> complex:
         try:
             return A_direct(sigma, I, J, p, ctx)
-        except Exception as exc:  # aggregate, report after the sweep
-            errors.append(f"entry ({I.word}, {J.word}): {exc}")
-            return complex("nan")
+        except EvaluationError as exc:
+            raise type(exc)(f"entry ({I.word}, {J.word}): {exc}") from exc
 
     values = [one(I, J) for I in order for J in order]
-    if errors:
-        raise RuntimeError("unevaluable entries:\n" + "\n".join(errors))
-
     m = len(order)
     entries = np.array(values, dtype=complex).reshape(m, m)
     return RestrictionMatrix(n=n, sigma=sigma, order=order, entries=entries,

@@ -53,7 +53,6 @@ def felder_R(kind: str, j: int, k: int, lx, p: ParameterPoint,
         raise ValueError(f"unknown kind {kind!r}")
     if j == k:
         raise ValueError("distinct indices required for non-trivial entries")
-    lx = getattr(lx, "value", lx)
     lmu = p.mu(j) - p.mu(k)
     den_x = theta(ctx, lx + p.log_h)
     den_mu = theta(ctx, lmu)

@@ -13,7 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import PoleError
-from .permcomb import Permutation, compose_values, fixed_point_tables
+from .permcomb import (Permutation, compose_values, fixed_point_tables,
+                       p_function)
 from .qtheta import POLE_TOL, ThetaContext, theta
 
 #: theta-denominator modulus below which a random point counts as resonant
@@ -58,17 +59,6 @@ class ParameterPoint:
             log_z=self.log_z,
             log_mu=tuple(self.log_mu[s - 1] for s in sigma.word),
             log_h=self.log_h)
-
-    def swap_z(self, k: int) -> "ParameterPoint":
-        """Exchange z_k and z_{k+1}."""
-        lz = list(self.log_z)
-        lz[k - 1], lz[k] = lz[k], lz[k - 1]
-        return ParameterPoint(log_z=tuple(lz), log_mu=self.log_mu, log_h=self.log_h)
-
-    def swap_mu(self, k: int) -> "ParameterPoint":
-        lm = list(self.log_mu)
-        lm[k - 1], lm[k] = lm[k], lm[k - 1]
-        return ParameterPoint(log_z=self.log_z, log_mu=tuple(lm), log_h=self.log_h)
 
     def to_json(self) -> dict:
         return {
@@ -140,7 +130,6 @@ def psi(I: Permutation, k: int, a: int, c: int, lx,
     n = len(I)
     if not (1 <= a <= k <= n - 1 and 1 <= c <= k + 1):
         raise ValueError(f"indices out of range: k={k}, a={a}, c={c} for n={n}")
-    lx = getattr(lx, "value", lx)
     tab = fixed_point_tables(I)
     ia = tab.ordered[k - 1][a - 1]
     ic = tab.ordered[k][c - 1]
@@ -148,7 +137,7 @@ def psi(I: Permutation, k: int, a: int, c: int, lx,
         return theta(ctx, p.log_h + lx)
     if ic > ia:
         return theta(ctx, lx)
-    exp_h = 1 - (1 if I.word[k] < ia else 0)     # 1 - p_{I,k+1}(ia)
+    exp_h = 1 - p_function(I, k + 1, ia)
     j = tab.jindex(k, a)
     return theta(ctx, lx + exp_h * p.log_h + p.mu(k + 1) - p.mu(j))
 
@@ -161,16 +150,14 @@ def _level_args(I: Permutation, t: ChernPoint, p: ParameterPoint):
     return list(t.levels) + [list(p.log_z)]
 
 
-def U(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext,
-      at_restriction: bool = False) -> complex:
+def U(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext) -> complex:
     """Single (unsymmetrized) alternating product term of the weight function.
 
-    Raises PoleError when a level-internal theta denominator vanishes; at
-    flagged restriction points only an exact zero trips the guard.
+    Raises PoleError when a level-internal theta denominator factor has
+    modulus at most POLE_TOL.
     """
     n = len(I)
     levels = _level_args(I, t, p)
-    guard = 0.0 if at_restriction else POLE_TOL
     num = 1.0 + 0j
     den = 1.0 + 0j
     for k in range(1, n):
@@ -182,7 +169,7 @@ def U(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext,
             for b in range(a + 1, k + 1):
                 f = theta(ctx, tk[a - 1] + p.log_h - tk[b - 1]) \
                     * theta(ctx, tk[b - 1] - tk[a - 1])
-                if abs(f) <= guard:
+                if abs(f) <= POLE_TOL:
                     raise PoleError(
                         f"denominator theta vanished at level {k} (|.|={abs(f):.3e})")
                 den *= f
@@ -190,7 +177,7 @@ def U(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext,
 
 
 def weight_terms(I: Permutation, t: ChernPoint, p: ParameterPoint,
-                 ctx: ThetaContext, at_restriction: bool = False) -> list[complex]:
+                 ctx: ThetaContext) -> list[complex]:
     """All symmetrization terms of W_I in a fixed deterministic order."""
     n = len(I)
     terms = []
@@ -199,24 +186,22 @@ def weight_terms(I: Permutation, t: ChernPoint, p: ParameterPoint,
         tp = t
         for k, perm in enumerate(perms, start=1):
             tp = tp.permute_level(k, perm)
-        terms.append(U(I, tp, p, ctx, at_restriction=at_restriction))
+        terms.append(U(I, tp, p, ctx))
     return terms
 
 
-def W(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext,
-      at_restriction: bool = False) -> complex:
+def W(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext) -> complex:
     """Weight function: unnormalized symmetrization of U over every
     Chern-root level."""
-    return sum(weight_terms(I, t, p, ctx, at_restriction=at_restriction))
+    return sum(weight_terms(I, t, p, ctx))
 
 
 def W_sigma(sigma: Permutation, I: Permutation, t: ChernPoint,
-            p: ParameterPoint, ctx: ThetaContext,
-            at_restriction: bool = False) -> complex:
+            p: ParameterPoint, ctx: ThetaContext) -> complex:
     """Chamber-twisted weight function: W at the value-wise composed index
     sigma^{-1} o I with the z slots permuted by sigma."""
     K = compose_values(sigma.inverse(), I)
-    return W(K, t, p.permute_z(sigma), ctx, at_restriction=at_restriction)
+    return W(K, t, p.permute_z(sigma), ctx)
 
 
 def P(I: Permutation, log_w: tuple[complex, ...], p: ParameterPoint,

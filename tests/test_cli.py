@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ellweights
-from ellweights import random_parameter_point
+from ellweights import ParameterPoint, random_parameter_point
 from ellweights.cli import (SUITE_NAMES, RunConfig, build_parser,
                             config_from_args, main, run)
 from ellweights.errors import ResamplingError
@@ -266,6 +266,37 @@ class TestCommandLine:
         status, report = run(cfg(n=2, mode="matrix", suites=()))
         assert status == 1
         assert report["error"]["type"] == "ResamplingError"
+
+    def test_pole_error_reported(self, monkeypatch, ctx):
+        # a point with z_1 = z_2 has vanishing restriction denominators;
+        # the failing entry is reported under "error", not raised
+        import ellweights.cli as climod
+        base = random_parameter_point(3, np.random.default_rng(3), ctx)
+        bad = ParameterPoint(log_z=(base.log_z[0], base.log_z[0], base.log_z[2]),
+                             log_mu=base.log_mu, log_h=base.log_h)
+        monkeypatch.setattr(climod, "random_parameter_point", lambda *a, **k: bad)
+        for config in (cfg(n=3, mode="matrix", suites=()),
+                       cfg(n=3, suites=("triangular",))):
+            status, report = run(config)
+            assert status == 1
+            assert report["pass"] is False
+            assert report["error"]["type"] == "PoleError"
+            assert report["error"]["message"].startswith("entry ((1, 2, 3), ")
+
+    def test_csv_only_in_matrix_mode(self, capsys):
+        for mode in ("verify", "weights"):
+            with pytest.raises(SystemExit) as exc:
+                main([mode, "--csv", "x"])
+            assert exc.value.code == 2
+            assert "--csv" in capsys.readouterr().err
+
+
+class TestPackage:
+    def test_star_import_resolves_every_export(self):
+        namespace: dict = {}
+        exec("from ellweights import *", namespace)
+        for name in ellweights.__all__:
+            assert namespace[name] is getattr(ellweights, name)
 
 
 class TestSampling:

@@ -1,4 +1,4 @@
-"""Permutation algebra, Bruhat order, index tables, tangent weights."""
+"""Permutation algebra, Bruhat order, index tables."""
 
 import itertools
 
@@ -6,7 +6,7 @@ import pytest
 
 from ellweights import (Permutation, all_permutations, bruhat_leq, compose,
                         compose_values, fixed_point_tables, mirror_index,
-                        p_function, tangent_character)
+                        p_function)
 
 
 def words(n):
@@ -173,52 +173,6 @@ class TestPFunction:
     def test_index_range(self):
         with pytest.raises(ValueError):
             p_function(Permutation((1, 2)), 3, 1)
-
-
-class TestTangentCharacter:
-    def test_n2_identity(self):
-        tc = tangent_character(Permutation((1, 2)))
-        assert tc.minus == ((0, (1, -1)),)        # z1/z2
-        assert tc.plus == ((-1, (-1, 1)),)        # hbar^-1 z2/z1
-
-    def test_n2_flip(self):
-        tc = tangent_character(Permutation((2, 1)))
-        assert tc.minus == ((-1, (1, -1)),)       # hbar^-1 z1/z2
-        assert tc.plus == ((0, (-1, 1)),)         # z2/z1
-
-    def test_312_sizes(self):
-        tc = tangent_character(Permutation((3, 1, 2)))
-        assert len(tc.plus) == len(tc.minus) == 3
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_full_tangent_multiset(self, n):
-        for I in words(n):
-            tc = tangent_character(I)
-            assert len(tc.plus) + len(tc.minus) == n * (n - 1)
-            # independent enumeration of all tangent weights
-            expected = []
-            for l in range(1, n):
-                for k in range(l + 1, n + 1):
-                    il, ik = I.word[l - 1], I.word[k - 1]
-                    w1 = [0] * n
-                    w1[il - 1], w1[ik - 1] = 1, -1
-                    expected.append((0, tuple(w1)))
-                    w2 = [0] * n
-                    w2[ik - 1], w2[il - 1] = 1, -1
-                    expected.append((-1, tuple(w2)))
-            combined = sorted(tc.plus + tc.minus)
-            assert combined == sorted(expected)
-            assert not set(tc.plus) & set(tc.minus)
-
-    def test_reverse_chamber_swaps(self):
-        for I in words(3):
-            std = tangent_character(I)
-            rev = tangent_character(I, chamber="reverse")
-            assert std.plus == rev.minus and std.minus == rev.plus
-
-    def test_bad_chamber(self):
-        with pytest.raises(ValueError):
-            tangent_character(Permutation((1, 2)), chamber="sideways")
 
 
 class TestSerialization:

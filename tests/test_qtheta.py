@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from ellweights import LogValue, RangeError, ThetaContext, phi, theta
+from ellweights import RangeError, ThetaContext, phi, theta
 
 # Frozen outputs of an independent truncated-product oracle
 # (plain loop over (1 - q^s x), 64 factors, q = 0.1).
@@ -96,21 +96,3 @@ class TestGuardsAndContext:
     def test_default_trunc(self):
         assert ThetaContext.create(q=0.3).trunc == 69
         assert ThetaContext.create(q=1e-30).trunc == 24
-
-    def test_accepts_logvalue_argument(self, ctx):
-        lx = 0.2 + 0.3j
-        assert theta(ctx, LogValue(lx)) == theta(ctx, lx)
-
-
-class TestLogValue:
-    def test_negation_inverts_half_power(self):
-        lv = LogValue(0.37 - 1.2j)
-        assert abs((-lv).half_power() - 1.0 / lv.half_power()) < 1e-16
-
-    def test_addition_multiplies_values(self):
-        a, b = LogValue(0.3 + 0.1j), LogValue(-0.2 + 0.9j)
-        assert abs((a + b).exp() - a.exp() * b.exp()) < 1e-15
-
-    def test_subtraction_divides(self):
-        a, b = LogValue(0.3 + 0.1j), LogValue(-0.2 + 0.9j)
-        assert abs((a - b).exp() - a.exp() / b.exp()) < 1e-15

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ellweights import (A_diagonal, A_direct, ParameterPoint,
-                        Permutation, RestrictionMatrix, all_permutations,
-                        ao_normalization_factor, bruhat_leq, build_A_direct,
+                        Permutation, PoleError, RestrictionMatrix,
+                        all_permutations, ao_normalization_factor,
+                        bruhat_leq, build_A_direct,
                         compose_values, entry_cache, P,
                         random_parameter_point, restriction_point, theta, W)
 from ellweights import restriction
@@ -64,8 +65,8 @@ class TestRestrictionPoint:
         t = restriction_point(Permutation((3, 1, 2)), p)
         perm = t.permute_level(2, (1, 0))
         for I in all_permutations(3):
-            a = W(I, t, p, ctx, at_restriction=True)
-            b = W(I, perm, p, ctx, at_restriction=True)
+            a = W(I, t, p, ctx)
+            b = W(I, perm, p, ctx)
             assert rel(a, b) < ctx.tol
 
 
@@ -212,8 +213,9 @@ class TestMatrixObject:
         for I in all_permutations(2):
             for J in all_permutations(2):
                 assert entry(I, J, p) == mat.entry(I, J)
-        entry(Permutation.identity(2), Permutation.identity(2), p.swap_z(1))
-        assert [args[1] for args in builds] == [p, p.swap_z(1)]
+        swapped = p.permute_z(Permutation((2, 1)))
+        entry(Permutation.identity(2), Permutation.identity(2), swapped)
+        assert [args[1] for args in builds] == [p, swapped]
 
     def test_entry_lookup(self, ctx, rng):
         p = random_parameter_point(2, rng, ctx)
@@ -222,9 +224,21 @@ class TestMatrixObject:
         assert mat.entry(flip, flip) == mat.entries[1, 1]
 
     def test_unevaluable_entries_aggregate(self, ctx, rng):
-        # coinciding z values put exact zeros in restriction denominators
+        # coinciding z values put exact zeros in restriction denominators;
+        # the first failing entry stops the sweep with its own error type
         base = random_parameter_point(3, rng, ctx)
         bad = ParameterPoint(log_z=(base.log_z[0], base.log_z[0], base.log_z[2]),
                              log_mu=base.log_mu, log_h=base.log_h)
-        with pytest.raises(RuntimeError, match="unevaluable"):
+        with pytest.raises(PoleError, match=r"entry \(\(1, 2, 3\), "):
             build_A_direct(Permutation.identity(3), bad, ctx)
+
+    def test_near_coincident_z_raises(self, ctx):
+        # z_2 = z_1 + 1e-13 gives a restriction denominator of modulus
+        # ~1e-14: the pole guard must stop the build rather than return
+        # entries dominated by cancellation error
+        base = random_parameter_point(3, np.random.default_rng(3), ctx)
+        near = ParameterPoint(
+            log_z=(base.log_z[0], base.log_z[0] + 1e-13, base.log_z[2]),
+            log_mu=base.log_mu, log_h=base.log_h)
+        with pytest.raises(PoleError, match="denominator theta vanished"):
+            build_A_direct(Permutation.identity(3), near, ctx)

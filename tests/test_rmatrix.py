@@ -117,7 +117,7 @@ class TestRelationResiduals:
         r2i = felder_R("exchange", b, a, -x, p, ctx)
         den = 1.0 - r2x * r2i
         direct = build_A_direct(ident, p, ctx)
-        swapped = build_A_direct(ident, p.swap_z(1), ctx)
+        swapped = build_A_direct(ident, p.permute_z(flip), ctx)
         for J in (ident, flip):
             got = (r1i * swapped.entry(ident, J)
                    + r2i * r1x * direct.entry(ident, J.value_swap(1))) / den

@@ -211,16 +211,21 @@ class TestParameterPoint:
         p = random_parameter_point(3, rng, ctx)
         assert ParameterPoint.from_json(p.to_json()) == p
 
-    def test_swap_helpers(self, rng, ctx):
-        p = random_parameter_point(3, rng, ctx)
-        assert p.swap_z(1).log_z == (p.log_z[1], p.log_z[0], p.log_z[2])
-        assert p.swap_mu(2).log_mu == (p.log_mu[0], p.log_mu[2], p.log_mu[1])
-        assert p.swap_z(1).swap_z(1) == p
-
     def test_permute_z(self, rng, ctx):
         p = random_parameter_point(3, rng, ctx)
         s0 = Permutation.longest(3)
         assert p.permute_z(s0).log_z == p.log_z[::-1]
+        s1 = Permutation.identity(3).pos_swap(1)
+        assert p.permute_z(s1).log_z == (p.log_z[1], p.log_z[0], p.log_z[2])
+        assert p.permute_z(s1).permute_z(s1) == p
+        assert p.permute_z(s1).log_mu == p.log_mu
+
+    def test_permute_mu(self, rng, ctx):
+        p = random_parameter_point(3, rng, ctx)
+        s2 = Permutation.identity(3).pos_swap(2)
+        assert p.permute_mu(s2).log_mu == (p.log_mu[0], p.log_mu[2], p.log_mu[1])
+        assert p.permute_mu(s2).permute_mu(s2) == p
+        assert p.permute_mu(s2).log_z == p.log_z
 
     def test_genericity(self, ctx, rng):
         p = random_parameter_point(3, rng, ctx)
