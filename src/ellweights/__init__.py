@@ -6,15 +6,14 @@ __version__ = "0.1.0"
 
 from .errors import (ConsistencyError, EvaluationError, IllConditionedError,
                      PoleError, RangeError, ResamplingError, ResonanceError)
-from .qtheta import ThetaContext, phi, theta
+from .qtheta import ThetaContext, theta
 from .permcomb import (FixedPointTables, Permutation, all_permutations,
                        bruhat_leq, compose, compose_values, fixed_point_tables,
                        mirror_index, p_function)
 from .weightfn import (ChernPoint, P, ParameterPoint, U, W, W_sigma,
                        is_generic, psi, weight_terms)
 from .restriction import (A_diagonal, A_direct, RestrictionMatrix,
-                          ao_normalization_factor, build_A_direct,
-                          entry_cache, restriction_point)
+                          build_A_direct, entry_cache, restriction_point)
 from .rmatrix import (build_A_by_dual_recursion, build_A_by_R_recursion,
                       dual_R, dual_residual, exchange_residual, felder_R)
 from .mirror import (DualityInterface, global_sign, interpolation_residuals,
@@ -25,14 +24,14 @@ __all__ = [
     "__version__",
     "ConsistencyError", "EvaluationError", "IllConditionedError", "PoleError",
     "RangeError", "ResamplingError", "ResonanceError",
-    "ThetaContext", "phi", "theta",
+    "ThetaContext", "theta",
     "FixedPointTables", "Permutation", "all_permutations", "bruhat_leq",
     "compose", "compose_values", "fixed_point_tables", "mirror_index",
     "p_function",
     "ChernPoint", "P", "ParameterPoint", "U", "W", "W_sigma", "is_generic",
     "psi", "weight_terms",
-    "A_diagonal", "A_direct", "RestrictionMatrix", "ao_normalization_factor",
-    "build_A_direct", "entry_cache", "restriction_point",
+    "A_diagonal", "A_direct", "RestrictionMatrix", "build_A_direct",
+    "entry_cache", "restriction_point",
     "build_A_by_dual_recursion", "build_A_by_R_recursion", "dual_R",
     "dual_residual", "exchange_residual", "felder_R",
     "DualityInterface", "global_sign", "interpolation_residuals",

@@ -17,6 +17,7 @@ import argparse
 import cmath
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -28,8 +29,8 @@ from .mirror import (DualityInterface, interpolation_residuals,
                      mirror_residual)
 from .permcomb import Permutation, all_permutations, compose
 from .qtheta import ThetaContext, theta
-from .restriction import (A_diagonal, A_direct, RestrictionMatrix,
-                          build_A_direct, entry_cache, relative_residual)
+from .restriction import (A_diagonal, A_direct, build_A_direct, entry_cache,
+                          moduli_csv, relative_residual)
 from .rmatrix import (build_A_by_dual_recursion, build_A_by_R_recursion,
                       dual_residual, exchange_residual)
 from .sampling import random_chern_point, random_parameter_point
@@ -38,7 +39,7 @@ from .weightfn import P, W
 SUITE_NAMES = ("theta", "triangular", "diagonal", "rmatrel", "dualrel",
                "mirror", "interface", "pprop")
 MODES = ("matrix", "weights", "verify")
-DEFAULT_N_CAP = 5
+N_CAP = 5
 
 
 @dataclass(frozen=True)
@@ -54,31 +55,33 @@ class RunConfig:
     sigma: tuple[int, ...] | None = None
     mode: str = "verify"
     suites: tuple[str, ...] = SUITE_NAMES
-    allow_large: bool = False
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.n > DEFAULT_N_CAP and not self.allow_large:
-            raise ValueError(
-                f"n={self.n} exceeds the default cap {DEFAULT_N_CAP}; "
-                "pass --allow-large to override")
-        if not abs(complex(self.q)) < 1:
-            raise ValueError("|q| must be < 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 1 <= self.n <= N_CAP:
+            raise ValueError(f"n must lie in 1..{N_CAP}, got {self.n}")
+        if not 0 < abs(complex(self.q)) < 1:
+            raise ValueError("|q| must lie in (0, 1)")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.points < 1:
             raise ValueError("points must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "verify" and not self.suites:
+            raise ValueError("no suite given")
         for s in self.suites:
             if s not in SUITE_NAMES:
                 raise ValueError(f"unknown suite {s!r}")
+            if self.suites.count(s) > 1:
+                raise ValueError(f"suite {s!r} listed twice")
         if self.sigma is not None:
             Permutation(self.sigma)  # validates
             if len(self.sigma) != self.n:
                 raise ValueError(
                     f"sigma has {len(self.sigma)} entries, expected n={self.n}")
+        self.context()  # validates q against trunc
 
     def context(self) -> ThetaContext:
         return ThetaContext.create(q=self.q, trunc=self.trunc, tol=self.tol)
@@ -147,7 +150,7 @@ def _check_triangular(config, ctx, p, pt, rng, fields):
     sigma = Permutation(config.sigma) if config.sigma else Permutation.identity(p.n)
     mat = build_A_direct(sigma, p, ctx)
     fields.setdefault("observed_zero_counts", []).append(len(mat.zero_pairs(ctx.tol)))
-    yield f"triangularity pt={pt}", mat.triangularity_violation(ctx.tol)
+    yield f"triangularity pt={pt}", mat.triangularity_violation()
 
 
 def _check_diagonal(config, ctx, p, pt, rng, fields):
@@ -333,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=20240801)
         sp.add_argument("--points", type=int, default=1,
                         help="number of random parameter points")
-        sp.add_argument("--allow-large", action="store_true",
-                        help="lift the default cap n <= 5")
         sp.add_argument("--out", default=None, help="write the JSON report here")
 
     sp_matrix = sub.add_parser("matrix", help="build restriction matrices")
@@ -360,7 +361,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         n=args.n, q=args.q, trunc=trunc, tol=args.tol, seed=args.seed,
         points=args.points, sigma=getattr(args, "sigma", None),
-        mode=args.mode, suites=suites, allow_large=args.allow_large)
+        mode=args.mode, suites=suites)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -380,9 +381,8 @@ def main(argv: list[str] | None = None) -> int:
         print(text)
     csv = getattr(args, "csv", None)
     if csv and "matrix" in report:
-        mat = RestrictionMatrix.from_json_dict(report["matrix"]["direct"])
         with open(csv, "w") as fh:
-            fh.write(mat.to_csv())
+            fh.write(moduli_csv(report["matrix"]["direct"]))
     return status
 
 

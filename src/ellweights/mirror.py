@@ -96,28 +96,19 @@ class DualityInterface:
         return global_sign(n) * total
 
 
-def interface_first_restriction(iface: DualityInterface, I: Permutation) -> ChernPoint:
-    """Second-slot fixed point: restriction point of I^{-1} in the dual
-    equivariant parameters."""
-    dual = ParameterPoint(log_z=iface.p.log_mu, log_mu=iface.p.log_mu,
-                          log_h=iface.p.log_h)
-    return restriction_point(I.inverse(), dual)
-
-
-def interface_second_restriction(iface: DualityInterface, I: Permutation) -> ChernPoint:
-    """First-slot fixed point: restriction point of I^{-1} in z."""
-    return restriction_point(I.inverse(), iface.p)
-
-
 def interpolation_residuals(iface: DualityInterface, I: Permutation,
                             t: ChernPoint, t_prime: ChernPoint) -> tuple[float, float]:
     """Residuals of the two fixed-point interpolation identities at I with
-    the supplied generic Chern points."""
-    n = iface.p.n
+    the supplied generic Chern points.  The first fixes the second slot at
+    the restriction point of I^{-1} in the dual equivariant parameters, the
+    second fixes the first slot at the restriction point of I^{-1} in z."""
+    p = iface.p
+    n = p.n
     sgn = global_sign(n)
-    lhs1 = iface.value(t, interface_first_restriction(iface, I))
-    rhs1 = W(I, t, iface.p, iface.ctx)
-    lhs2 = iface.value(interface_second_restriction(iface, I), t_prime)
+    dual = ParameterPoint(log_z=p.log_mu, log_mu=p.log_mu, log_h=p.log_h)
+    lhs1 = iface.value(t, restriction_point(I.inverse(), dual))
+    rhs1 = W(I, t, p, iface.ctx)
+    lhs2 = iface.value(restriction_point(I.inverse(), p), t_prime)
     comp = compose(I, Permutation.longest(n))   # word n + 1 - I_j
     rhs2 = sgn * W(comp, t_prime, iface._dual_point, iface.ctx)
     return relative_residual(lhs1, rhs1), relative_residual(lhs2, rhs2)

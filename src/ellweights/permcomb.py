@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 
 @dataclass(frozen=True, order=True)
@@ -90,10 +89,6 @@ class Permutation:
 
     def to_json(self) -> list[int]:
         return list(self.word)
-
-    @classmethod
-    def from_json(cls, data: Iterable[int]) -> "Permutation":
-        return cls(tuple(int(v) for v in data))
 
 
 def compose(sigma: Permutation, I: Permutation) -> Permutation:

@@ -69,10 +69,6 @@ class ThetaContext:
         if self.trunc < need:
             raise ValueError(f"trunc={self.trunc} too small for |q|: need >= {need}")
 
-    @property
-    def q(self) -> complex:
-        return cmath.exp(self.log_q)
-
     @classmethod
     def create(cls, q: complex = 0.3, trunc: int | None = None,
                tol: float = 1e-8) -> "ThetaContext":
@@ -87,15 +83,6 @@ class ThetaContext:
 def _q_powers(log_q: complex, trunc: int) -> np.ndarray:
     # q^s for s = 0 .. trunc-1
     return np.exp(log_q * np.arange(trunc))
-
-
-def phi(ctx: ThetaContext, lx) -> complex:
-    """Truncated q-Pochhammer product prod_{s=0}^{trunc-1} (1 - q^s exp(lx))."""
-    w = complex(lx)
-    if abs(w.real) > LOG_RANGE:
-        raise RangeError(f"|Re log x| = {abs(w.real):.3g} exceeds {LOG_RANGE}")
-    x = cmath.exp(w)
-    return complex(np.prod(1.0 - _q_powers(ctx.log_q, ctx.trunc) * x))
 
 
 def theta(ctx: ThetaContext, lx) -> complex:

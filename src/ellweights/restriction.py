@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EvaluationError
 from .permcomb import (Permutation, all_permutations, bruhat_leq,
-                       compose_values, fixed_point_tables, mirror_index)
+                       fixed_point_tables, mirror_index)
 from .qtheta import ThetaContext
 from .weightfn import ChernPoint, P, ParameterPoint, W_sigma
 
@@ -52,16 +52,6 @@ def A_diagonal(I: Permutation, p: ParameterPoint, ctx: ThetaContext) -> complex:
     index, with reversed mu arguments."""
     M = mirror_index(I)
     return I.sign() * P(I, p.log_z, p, ctx) * P(M, p.log_mu[::-1], p, ctx)
-
-
-def ao_normalization_factor(sigma: Permutation, I: Permutation,
-                            p: ParameterPoint, ctx: ThetaContext) -> complex:
-    """Scalar relating the holomorphic normalization to the one whose
-    diagonal is the bare z-side product: dividing the sigma-matrix diagonal
-    entry at I by this factor leaves P at the value-wise index sigma^{-1} o I
-    with z slots permuted by sigma."""
-    K = compose_values(sigma.inverse(), I)
-    return K.sign() * P(mirror_index(K), p.log_mu[::-1], p, ctx)
 
 
 @dataclass(frozen=True)
@@ -115,9 +105,9 @@ class RestrictionMatrix:
                     out.append((I, J))
         return out
 
-    def triangularity_violation(self, tol: float) -> float:
-        """Worst |entry| / row-scale over pairs with J strictly above I in
-        Bruhat order (0.0 when triangular to tolerance)."""
+    def triangularity_violation(self) -> float:
+        """Worst |entry| / (1 + row scale) over pairs with J strictly above
+        I in Bruhat order (0.0 when exactly triangular)."""
         worst = 0.0
         for i, I in enumerate(self.order):
             scale = 1.0 + self.row_scale(I)
@@ -136,25 +126,14 @@ class RestrictionMatrix:
             "point": self.point.to_json(),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RestrictionMatrix":
-        order = tuple(Permutation.from_json(w) for w in data["order"])
-        entries = np.array(
-            [[complex(r, i) for r, i in row] for row in data["entries"]],
-            dtype=complex)
-        return cls(n=data["n"], sigma=Permutation.from_json(data["sigma"]),
-                   order=order, entries=entries,
-                   provenance=data["provenance"],
-                   point=ParameterPoint.from_json(data["point"]))
 
-    def to_csv(self) -> str:
-        """Moduli table for quick inspection."""
-        labels = ["".join(map(str, p.word)) for p in self.order]
-        lines = ["|A|," + ",".join(labels)]
-        for i, lab in enumerate(labels):
-            vals = ",".join(repr(float(abs(v))) for v in self.entries[i])
-            lines.append(f"{lab},{vals}")
-        return "\n".join(lines) + "\n"
+def moduli_csv(data: dict) -> str:
+    """Moduli table of a matrix in its JSON form, for quick inspection."""
+    labels = ["".join(map(str, w)) for w in data["order"]]
+    lines = ["|A|," + ",".join(labels)]
+    for lab, row in zip(labels, data["entries"]):
+        lines.append(lab + "," + ",".join(repr(abs(complex(*v))) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def build_A_direct(sigma: Permutation, p: ParameterPoint,

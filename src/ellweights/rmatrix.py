@@ -30,26 +30,23 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConsistencyError, PoleError, ResonanceError
+from .mirror import kappa_substitute
 from .permcomb import Permutation, all_permutations
 from .qtheta import POLE_TOL, ThetaContext, theta
 from .restriction import (A_diagonal, A_direct, RestrictionMatrix,
                           relative_residual)
 from .weightfn import ParameterPoint
 
-FELDER_KINDS = ("diag_equal", "diag", "exchange")
-
 
 def felder_R(kind: str, j: int, k: int, lx, p: ParameterPoint,
              ctx: ThetaContext) -> complex:
     """Entry of the elliptic dynamical R-matrix in Felder's normalization.
 
-    ``diag_equal`` is the unit entry with equal upper indices; ``diag`` is
-    the x-diagonal entry with distinct indices j, k; ``exchange`` is the
-    index-exchanging entry.  lx is the log of the spectral argument x.
+    ``diag`` is the x-diagonal entry with distinct indices j, k;
+    ``exchange`` is the index-exchanging entry.  lx is the log of the
+    spectral argument x.
     """
-    if kind == "diag_equal":
-        return 1.0 + 0j
-    if kind not in FELDER_KINDS:
+    if kind not in ("diag", "exchange"):
         raise ValueError(f"unknown kind {kind!r}")
     if j == k:
         raise ValueError("distinct indices required for non-trivial entries")
@@ -63,20 +60,14 @@ def felder_R(kind: str, j: int, k: int, lx, p: ParameterPoint,
     return theta(ctx, lx + lmu) * theta(ctx, p.log_h) / (den_x * den_mu)
 
 
-def dual_substitute(p: ParameterPoint) -> ParameterPoint:
-    """Parameter substitution defining the dual R-matrix: z slot i takes
-    1/mu_i, mu slot i takes z at the reversed index."""
-    n = p.n
-    return ParameterPoint(
-        log_z=tuple(-p.log_mu[i] for i in range(n)),
-        log_mu=tuple(p.log_z[n - 1 - i] for i in range(n)),
-        log_h=p.log_h)
-
-
 def dual_R(kind: str, j: int, k: int, lx, p: ParameterPoint,
            ctx: ThetaContext) -> complex:
-    """Felder entry evaluated after the dual parameter substitution."""
-    return felder_R(kind, j, k, lx, dual_substitute(p), ctx)
+    """Entry of the dual R-matrix: the Felder entry whose Kahler slots j, k
+    hold z at the reversed indices n+1-j, n+1-k.  That is felder_R at the
+    parameter swap kappa_substitute(p), whose mu slot i holds 1/z_i, with
+    the indices reflected and exchanged."""
+    n = p.n
+    return felder_R(kind, n + 1 - k, n + 1 - j, lx, kappa_substitute(p), ctx)
 
 
 # ---------------------------------------------------------------------------

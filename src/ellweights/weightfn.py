@@ -67,13 +67,6 @@ class ParameterPoint:
             "log_h": [self.log_h.real, self.log_h.imag],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ParameterPoint":
-        return cls(
-            log_z=tuple(complex(r, i) for r, i in data["log_z"]),
-            log_mu=tuple(complex(r, i) for r, i in data["log_mu"]),
-            log_h=complex(*data["log_h"]))
-
 
 def resonance_margin(p: ParameterPoint, ctx: ThetaContext) -> float:
     """Smallest modulus among the theta denominators a generic evaluation
@@ -114,12 +107,6 @@ class ChernPoint:
     @property
     def n(self) -> int:
         return len(self.levels) + 1
-
-    def permute_level(self, k: int, perm: tuple[int, ...]) -> "ChernPoint":
-        """Reorder the entries of level k by a 0-based index tuple."""
-        levels = list(self.levels)
-        levels[k - 1] = tuple(levels[k - 1][i] for i in perm)
-        return ChernPoint(tuple(levels))
 
 
 def psi(I: Permutation, k: int, a: int, c: int, lx,
@@ -183,9 +170,8 @@ def weight_terms(I: Permutation, t: ChernPoint, p: ParameterPoint,
     terms = []
     for perms in itertools.product(
             *[itertools.permutations(range(k)) for k in range(1, n)]):
-        tp = t
-        for k, perm in enumerate(perms, start=1):
-            tp = tp.permute_level(k, perm)
+        tp = ChernPoint(tuple(tuple(lv[i] for i in perm)
+                              for lv, perm in zip(t.levels, perms, strict=True)))
         terms.append(U(I, tp, p, ctx))
     return terms
 

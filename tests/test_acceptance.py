@@ -103,7 +103,7 @@ def test_criterion_4_triangularity_and_diagonal(actx):
         for _ in range(5):
             p = random_parameter_point(n, rng, actx)
             mat = build_A_direct(ident, p, actx)
-            worst_tri = max(worst_tri, mat.triangularity_violation(TOL))
+            worst_tri = max(worst_tri, mat.triangularity_violation())
             for I in all_permutations(n):
                 closed = A_diagonal(I, p, actx)
                 dev = abs(mat.entry(I, I) - closed) / abs(closed)

@@ -48,7 +48,18 @@ class TestRunConfig:
             RunConfig(n=6)
         with pytest.raises(ValueError):
             RunConfig(n=3, mode="matrix", sigma=(2, 1))
-        RunConfig(n=6, allow_large=True)
+        # trunc too small for |q|, q = 0 and a negative seed
+        for bad in (dict(trunc=5), dict(q=0), dict(q=0, trunc=30), dict(seed=-1)):
+            with pytest.raises(ValueError):
+                RunConfig(**bad)
+        # a tolerance every residual passes or none does
+        for tol in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                RunConfig(tol=tol)
+        # no suite, or one suite twice
+        for suites in ((), ("pprop", "pprop")):
+            with pytest.raises(ValueError):
+                RunConfig(suites=suites)
 
     def test_context(self):
         c = cfg(q=0.3)
@@ -226,6 +237,14 @@ class TestCommandLine:
         # a chamber word of the wrong length is a configuration error
         assert main(["matrix", "--n", "3", "--sigma", "2,1"]) == 2
         assert "configuration error" in capsys.readouterr().err
+        # so are bad numbers and empty or repeated suite lists
+        for flags in (["--trunc", "5"], ["--q", "0"], ["--seed", "-1"],
+                      ["--tol", "inf"], ["--tol", "nan"],
+                      ["--suites", ","], ["--suites", "pprop,pprop"]):
+            assert main(["verify", "--n", "2", *flags]) == 2, flags
+            captured = capsys.readouterr()
+            assert captured.err.startswith("configuration error:"), flags
+            assert captured.out == "", flags
 
     def test_main_config_error(self, capsys):
         assert main(["verify", "--n", "6"]) == 2
@@ -238,8 +257,15 @@ class TestCommandLine:
         assert status == 0
         report = json.loads(out.read_text())
         assert report["schema"] == 1
-        lines = csv.read_text().strip().split("\n")
-        assert len(lines) == 3
+        direct = report["matrix"]["direct"]
+        labels = ["".join(map(str, w)) for w in direct["order"]]
+        assert labels == ["12", "21"]
+        rows = [line.split(",") for line in csv.read_text().split("\n")]
+        assert rows.pop() == [""]      # the file ends in a newline
+        assert rows[0] == ["|A|", *labels]
+        assert [row[0] for row in rows[1:]] == labels
+        for row, entries in zip(rows[1:], direct["entries"], strict=True):
+            assert row[1:] == [repr(float(abs(complex(*v)))) for v in entries]
 
     def test_cli_byte_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

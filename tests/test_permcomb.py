@@ -178,7 +178,7 @@ class TestPFunction:
 class TestSerialization:
     def test_round_trip(self):
         I = Permutation((3, 1, 2))
-        assert Permutation.from_json(I.to_json()) == I
+        assert Permutation(tuple(I.to_json())) == I
         assert I.to_json() == [3, 1, 2]
 
     def test_invalid_word(self):

@@ -5,11 +5,10 @@ import math
 
 import pytest
 
-from ellweights import RangeError, ThetaContext, phi, theta
+from ellweights import RangeError, ThetaContext, theta
 
-# Frozen outputs of an independent truncated-product oracle
+# Frozen output of an independent truncated-product oracle
 # (plain loop over (1 - q^s x), 64 factors, q = 0.1).
-PHI_AT_Q = 0.890010099998999          # phi(x = q)
 THETA_AT_2 = 0.5225651509618828       # theta(x = 2)
 
 
@@ -19,14 +18,6 @@ def ctx01():
 
 
 class TestGoldenValues:
-    def test_phi_at_one_vanishes(self, ctx01):
-        # the s = 0 factor is exactly (1 - 1)
-        assert phi(ctx01, 0.0) == 0.0
-
-    def test_phi_at_q(self, ctx01):
-        got = phi(ctx01, cmath.log(0.1))
-        assert abs(got - PHI_AT_Q) < 1e-13 * PHI_AT_Q
-
     def test_theta_at_two(self, ctx01):
         got = theta(ctx01, cmath.log(2.0))
         assert abs(got - THETA_AT_2) < 1e-13 * THETA_AT_2
@@ -69,7 +60,6 @@ class TestFunctionalEquations:
         for lx in (0.4 + 0.3j, -1.1 + 2.0j, 0.05 - 0.8j):
             want = cmath.exp(lx / 2) - cmath.exp(-lx / 2)
             assert abs(theta(tiny, lx) - want) < 1e-14 * (1 + abs(want))
-            assert abs(phi(tiny, lx) - (1 - cmath.exp(lx))) < 1e-14
 
     def test_determinism(self, ctx):
         lx = 0.123 - 0.456j
@@ -79,7 +69,7 @@ class TestFunctionalEquations:
 class TestGuardsAndContext:
     def test_overflow_guard(self, ctx):
         with pytest.raises(RangeError):
-            phi(ctx, 40.0 + 0j)
+            theta(ctx, 40.0 + 0j)
         with pytest.raises(RangeError):
             theta(ctx, -40.0 + 1j)
 

@@ -21,9 +21,6 @@ def golden_point():
 
 
 class TestFelderEntries:
-    def test_diag_equal_is_one(self, ctx, golden_point):
-        assert felder_R("diag_equal", 1, 1, 0.37, golden_point, ctx) == 1.0
-
     def test_initial_condition(self, ctx, golden_point):
         # x = 1: the x-diagonal entry vanishes, the exchange entry is unit
         assert felder_R("diag", 1, 2, 0.0, golden_point, ctx) == 0.0
@@ -50,10 +47,6 @@ class TestFelderEntries:
 
 
 class TestDualEntries:
-    def test_diag_equal(self, ctx, rng):
-        p = random_parameter_point(3, rng, ctx)
-        assert dual_R("diag_equal", 1, 1, 0.2, p, ctx) == 1.0
-
     def test_initial_condition(self, ctx, rng):
         p = random_parameter_point(3, rng, ctx)
         assert dual_R("diag", 1, 2, 0.0, p, ctx) == 0.0
