@@ -33,8 +33,7 @@ from .errors import ConsistencyError, PoleError, ResonanceError
 from .mirror import kappa_substitute
 from .permcomb import Permutation, all_permutations
 from .qtheta import POLE_TOL, ThetaContext, theta
-from .restriction import (A_diagonal, A_direct, RestrictionMatrix,
-                          relative_residual)
+from .restriction import A_diagonal, RestrictionMatrix, relative_residual
 from .weightfn import ParameterPoint
 
 
@@ -122,8 +121,6 @@ def _relation_residual(rel: _Relation, X: Permutation, Y: Permutation, k: int,
     """Normalized residual of ``rel`` for the pair {X, move(X, k)} at the
     other index Y; either member of the pair gives the same residual."""
     ident = Permutation.identity(p.n)
-    if entry is None:
-        entry = lambda I_, J_, p_: A_direct(ident, I_, J_, p_, ctx)
     if k not in rel.steps(X):
         X = rel.move(X, k)
     anchor = rel.move(X, k)
@@ -136,17 +133,16 @@ def _relation_residual(rel: _Relation, X: Permutation, Y: Permutation, k: int,
 
 def exchange_residual(I: Permutation, J: Permutation, k: int,
                       p: ParameterPoint, ctx: ThetaContext,
-                      entry=None) -> float:
+                      entry) -> float:
     """Normalized residual of the exchange relation for the row pair
-    {I, I value_swap k} at column J.  The ``entry`` callable (defaults to
-    direct evaluation) maps (I, J, point) -> complex and lets callers reuse
-    precomputed matrices."""
+    {I, I value_swap k} at column J.  The ``entry`` callable maps
+    (I, J, point) -> complex, such as ``restriction.entry_cache(ctx)``."""
     return _relation_residual(_EXCHANGE, I, J, k, p, ctx, entry)
 
 
 def dual_residual(I: Permutation, J: Permutation, k: int,
                   p: ParameterPoint, ctx: ThetaContext,
-                  entry=None) -> float:
+                  entry) -> float:
     """Normalized residual of the dual relation for the column pair
     {J, J pos_swap k} at row I; ``entry`` as in exchange_residual."""
     return _relation_residual(_DUAL, J, I, k, p, ctx, entry)
@@ -164,13 +160,22 @@ class _TwoTermRecursion:
     Y at ``rel.point(p, slots)``.  At the seed, triangularity plus the
     closed-form diagonal fix the value.  Any other X comes from its anchor
     move(X, k) for a step k: the relation at ``slots`` and at its k-th
-    position swap solves to the update below.
+    position swap solves to the update below.  Its coefficients do not
+    depend on Y, so ``coeffs`` keeps each (anchor, k, slots) pair once.
     """
 
     rel: _Relation
     p: ParameterPoint
     ctx: ThetaContext
     memo: dict = field(default_factory=dict)
+    coeffs: dict = field(default_factory=dict)
+
+    def _coeffs(self, anchor: Permutation, k: int,
+                slots: Permutation) -> tuple[complex, complex]:
+        key = (anchor.word, k, slots.word)
+        if key not in self.coeffs:
+            self.coeffs[key] = self.rel.coeffs(self.p, self.ctx, anchor, k, slots)
+        return self.coeffs[key]
 
     def value(self, X: Permutation, Y: Permutation, slots: Permutation,
               k_choice: int | None = None) -> complex:
@@ -188,8 +193,8 @@ class _TwoTermRecursion:
         anchor = rel.move(X, k)
         swapped = slots.pos_swap(k)
         try:
-            r1c, r2c = rel.coeffs(self.p, self.ctx, anchor, k, slots)
-            r1s, r2s = rel.coeffs(self.p, self.ctx, anchor, k, swapped)
+            r1c, r2c = self._coeffs(anchor, k, slots)
+            r1s, r2s = self._coeffs(anchor, k, swapped)
         except PoleError as exc:
             raise ResonanceError(f"resonant coefficient at {X.word}: {exc}")
         den = 1.0 - r2c * r2s

@@ -19,6 +19,9 @@ from .weightfn import ChernPoint, ParameterPoint, is_generic
 #: minimum pairwise distance between logs in the same group
 SEPARATION = 0.05
 
+#: draws before random_parameter_point gives up
+MAX_DRAWS = 200
+
 
 def _draw_logs(rng: np.random.Generator, n: int) -> tuple[complex, ...]:
     re = rng.uniform(-1.0, 1.0, n)
@@ -31,10 +34,10 @@ def _separated(logs) -> bool:
                for i, a in enumerate(logs) for b in logs[i + 1:])
 
 
-def random_parameter_point(n: int, rng: np.random.Generator, ctx: ThetaContext,
-                           max_tries: int = 200) -> ParameterPoint:
+def random_parameter_point(n: int, rng: np.random.Generator,
+                           ctx: ThetaContext) -> ParameterPoint:
     """Draw a generic, non-resonant parameter point."""
-    for _ in range(max_tries):
+    for _ in range(MAX_DRAWS):
         lz = _draw_logs(rng, n)
         lmu = _draw_logs(rng, n)
         lh = _draw_logs(rng, 1)[0]
@@ -43,7 +46,7 @@ def random_parameter_point(n: int, rng: np.random.Generator, ctx: ThetaContext,
         p = ParameterPoint(log_z=lz, log_mu=lmu, log_h=lh)
         if is_generic(p, ctx):
             return p
-    raise ResamplingError(f"no non-resonant point found in {max_tries} draws")
+    raise ResamplingError(f"no non-resonant point found in {MAX_DRAWS} draws")
 
 
 def random_chern_point(n: int, rng: np.random.Generator) -> ChernPoint:

@@ -326,9 +326,11 @@ class TestPackage:
 
 
 class TestSampling:
-    def test_exhaustion(self, ctx, rng):
-        with pytest.raises(ResamplingError):
-            random_parameter_point(3, rng, ctx, max_tries=0)
+    def test_exhaustion(self, ctx, rng, monkeypatch):
+        import ellweights.sampling as sampling
+        monkeypatch.setattr(sampling, "is_generic", lambda p, ctx: False)
+        with pytest.raises(ResamplingError, match="in 200 draws"):
+            random_parameter_point(3, rng, ctx)
 
     def test_points_are_generic(self, ctx, rng):
         from ellweights import is_generic

@@ -1,12 +1,16 @@
 """Felder R-matrix entries, relation residuals, recursion builders."""
 
+import time
+
+import numpy as np
 import pytest
 
 from ellweights import (ConsistencyError, ParameterPoint, Permutation,
                         PoleError, ResonanceError, ThetaContext, all_permutations,
                         build_A_by_dual_recursion, build_A_by_R_recursion,
                         build_A_direct, dual_R, dual_residual, entry_cache,
-                        exchange_residual, felder_R, random_parameter_point)
+                        exchange_residual, felder_R, random_parameter_point,
+                        rmatrix)
 
 # Frozen outputs of the direct theta-ratio oracle at q = 0.3,
 # lx = 0.37+0.62j, log hbar = 0.2+0.45j, log mu = (-0.31+1.2j, 0.45-0.83j).
@@ -69,19 +73,21 @@ class TestRelationResiduals:
     def test_exchange_relation(self, n, ctx, rng):
         for _ in range(2):
             p = random_parameter_point(n, rng, ctx)
+            entry = entry_cache(ctx)
             for I in all_permutations(n):
                 for J in all_permutations(n):
                     for k in range(1, n):
-                        assert exchange_residual(I, J, k, p, ctx) < ctx.tol
+                        assert exchange_residual(I, J, k, p, ctx, entry) < ctx.tol
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_dual_relation(self, n, ctx, rng):
         for _ in range(2):
             p = random_parameter_point(n, rng, ctx)
+            entry = entry_cache(ctx)
             for I in all_permutations(n):
                 for J in all_permutations(n):
                     for k in range(1, n):
-                        assert dual_residual(I, J, k, p, ctx) < ctx.tol
+                        assert dual_residual(I, J, k, p, ctx, entry) < ctx.tol
 
     def test_either_member_of_a_pair_gives_the_same_residual(self, ctx, rng):
         p = random_parameter_point(3, rng, ctx)
@@ -159,6 +165,30 @@ class TestRecursionBuilders:
         with pytest.raises(ConsistencyError,
                            match=r"\(row, column\) = \(\(1, 2, 3\), \(1, 2, 3\)\)"):
             build_A_by_dual_recursion(p, ctx, crosscheck=True)
+
+    def test_each_coefficient_pair_computed_once(self, ctx, monkeypatch):
+        # one crosschecked n=4 R + dual build; a driver that recomputes the
+        # coefficients for every other index makes 29,568 calls
+        p = random_parameter_point(4, np.random.default_rng(1), ctx)
+        calls = []
+        felder = rmatrix.felder_R
+
+        def counted(*args):
+            calls.append(args)
+            return felder(*args)
+
+        monkeypatch.setattr(rmatrix, "felder_R", counted)
+        build_A_by_R_recursion(p, ctx, crosscheck=True)
+        build_A_by_dual_recursion(p, ctx, crosscheck=True)
+        assert len(calls) == 1_000
+
+    def test_n5_recursions_agree(self, ctx):
+        p = random_parameter_point(5, np.random.default_rng(5), ctx)
+        start = time.perf_counter()
+        r = build_A_by_R_recursion(p, ctx)
+        d = build_A_by_dual_recursion(p, ctx)
+        assert time.perf_counter() - start < 20.0
+        assert r.max_deviation(d) < 1e-7
 
     def test_resonant_point_raises(self, ctx, rng):
         p = random_parameter_point(3, rng, ctx)
