@@ -24,7 +24,7 @@ triangularity plus the closed-form diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -73,17 +73,31 @@ def dual_R(kind: str, j: int, k: int, lx, p: ParameterPoint,
 # the two relations, each read by its residual and by its recursion
 # ---------------------------------------------------------------------------
 
-def _exchange_coeffs(p: ParameterPoint, ctx: ThetaContext, anchor: Permutation,
-                     k: int, slots: Permutation) -> tuple[complex, complex]:
-    a, b = anchor.inverse()(k), anchor.inverse()(k + 1)
-    x = p.z(slots(k)) - p.z(slots(k + 1))
+def _exchange_key(anchor: Permutation, k: int,
+                  slots: Permutation) -> tuple[int, int, int, int]:
+    # a, b: positions of the values k, k+1 in the anchor; x = z_i / z_j
+    return (anchor.word.index(k) + 1, anchor.word.index(k + 1) + 1,
+            slots(k), slots(k + 1))
+
+
+def _exchange_coeffs(p: ParameterPoint, ctx: ThetaContext,
+                     key: tuple[int, int, int, int]) -> tuple[complex, complex]:
+    a, b, i, j = key
+    x = p.z(i) - p.z(j)
     return felder_R("diag", a, b, x, p, ctx), felder_R("exchange", b, a, x, p, ctx)
 
 
-def _dual_coeffs(p: ParameterPoint, ctx: ThetaContext, anchor: Permutation,
-                 k: int, slots: Permutation) -> tuple[complex, complex]:
-    a, b = p.n - anchor(k) + 1, p.n - anchor(k + 1) + 1
-    x = p.mu(slots(k + 1)) - p.mu(slots(k))
+def _dual_key(anchor: Permutation, k: int,
+              slots: Permutation) -> tuple[int, int, int, int]:
+    # a, b: reflected values of the anchor at k, k+1; x = mu_i / mu_j
+    n = len(anchor)
+    return n + 1 - anchor(k), n + 1 - anchor(k + 1), slots(k + 1), slots(k)
+
+
+def _dual_coeffs(p: ParameterPoint, ctx: ThetaContext,
+                 key: tuple[int, int, int, int]) -> tuple[complex, complex]:
+    a, b, i, j = key
+    x = p.mu(i) - p.mu(j)
     return dual_R("diag", a, b, x, p, ctx), dual_R("exchange", b, a, x, p, ctx)
 
 
@@ -91,16 +105,19 @@ def _dual_coeffs(p: ParameterPoint, ctx: ThetaContext, anchor: Permutation,
 class _Relation:
     """For a step k in steps(X) of the grown index X (the row, or the
     column when ``transpose`` is set), its anchor move(X, k), the other
-    index Y and (r1, r2) = coeffs(p, ctx, anchor, k, slots):
+    index Y and (r1, r2) = coeffs(p, ctx, key(anchor, k, slots)):
 
         A[X, move(Y, k)] at point(p, slots.pos_swap(k))
             = r1 A[anchor, Y] + r2 A[X, Y], both at point(p, slots).
 
-    The one grown index without steps seeds the recursion.
+    ``key`` holds exactly the values the two Felder entries read, so equal
+    keys give equal coefficients.  The one grown index without steps seeds
+    the recursion.
     """
 
     steps: Callable[[Permutation], list[int]]
     move: Callable[[Permutation, int], Permutation]
+    key: Callable[[Permutation, int, Permutation], tuple[int, int, int, int]]
     coeffs: Callable[..., tuple[complex, complex]]
     point: Callable[[ParameterPoint, Permutation], ParameterPoint]
     transpose: bool
@@ -111,9 +128,11 @@ class _Relation:
 
 
 _EXCHANGE = _Relation(Permutation.value_descents, Permutation.value_swap,
-                      _exchange_coeffs, ParameterPoint.permute_z, transpose=False)
+                      _exchange_key, _exchange_coeffs, ParameterPoint.permute_z,
+                      transpose=False)
 _DUAL = _Relation(Permutation.word_ascents, Permutation.pos_swap,
-                  _dual_coeffs, ParameterPoint.permute_mu, transpose=True)
+                  _dual_key, _dual_coeffs, ParameterPoint.permute_mu,
+                  transpose=True)
 
 
 def _relation_residual(rel: _Relation, X: Permutation, Y: Permutation, k: int,
@@ -124,7 +143,7 @@ def _relation_residual(rel: _Relation, X: Permutation, Y: Permutation, k: int,
     if k not in rel.steps(X):
         X = rel.move(X, k)
     anchor = rel.move(X, k)
-    r1, r2 = rel.coeffs(p, ctx, anchor, k, ident)
+    r1, r2 = rel.coeffs(p, ctx, rel.key(anchor, k, ident))
     lhs = entry(*rel.cell(X, rel.move(Y, k)), rel.point(p, ident.pos_swap(k)))
     t1 = r1 * entry(*rel.cell(anchor, Y), p)
     t2 = r2 * entry(*rel.cell(X, Y), p)
@@ -152,43 +171,50 @@ def dual_residual(I: Permutation, J: Permutation, k: int,
 # recursion driver
 # ---------------------------------------------------------------------------
 
-@dataclass
 class _TwoTermRecursion:
-    """Memoized two-term update of one relation at the point p.
+    """Memoized two-term update of one relation at the point p, one line at
+    a time.
 
-    ``value(X, Y, slots)`` is the entry with grown index X and other index
-    Y at ``rel.point(p, slots)``.  At the seed, triangularity plus the
-    closed-form diagonal fix the value.  Any other X comes from its anchor
+    ``line(X, slots)`` lists the entries with grown index X at
+    ``rel.point(p, slots)``, one for each other index Y in
+    ``all_permutations(n)`` order.  At the seed, triangularity plus the
+    closed-form diagonal fix the line.  Any other X comes from its anchor
     move(X, k) for a step k: the relation at ``slots`` and at its k-th
     position swap solves to the update below.  Its coefficients do not
-    depend on Y, so ``coeffs`` keeps each (anchor, k, slots) pair once.
+    depend on Y, so one pass over ``moved[k]``, the index of move(Y, k) for
+    each Y, updates the whole line, and ``coeffs`` keeps each key's pair
+    once.  Lines stay plain lists of Python complex, so every entry is
+    rounded exactly as the scalar update rounds it.
     """
 
-    rel: _Relation
-    p: ParameterPoint
-    ctx: ThetaContext
-    memo: dict = field(default_factory=dict)
-    coeffs: dict = field(default_factory=dict)
+    def __init__(self, rel: _Relation, p: ParameterPoint, ctx: ThetaContext):
+        self.rel, self.p, self.ctx = rel, p, ctx
+        self.order = all_permutations(p.n)
+        self.index = {Y.word: y for y, Y in enumerate(self.order)}
+        self.moved = {k: [self.index[rel.move(Y, k).word] for Y in self.order]
+                      for k in range(1, p.n)}
+        self.lines: dict = {}
+        self.coeffs: dict = {}
 
     def _coeffs(self, anchor: Permutation, k: int,
                 slots: Permutation) -> tuple[complex, complex]:
-        key = (anchor.word, k, slots.word)
+        key = self.rel.key(anchor, k, slots)
         if key not in self.coeffs:
-            self.coeffs[key] = self.rel.coeffs(self.p, self.ctx, anchor, k, slots)
+            self.coeffs[key] = self.rel.coeffs(self.p, self.ctx, key)
         return self.coeffs[key]
 
-    def value(self, X: Permutation, Y: Permutation, slots: Permutation,
-              k_choice: int | None = None) -> complex:
-        key = (X.word, Y.word, slots.word, k_choice)
-        if key in self.memo:
-            return self.memo[key]
+    def line(self, X: Permutation, slots: Permutation,
+             k_choice: int | None = None) -> list[complex]:
+        key = (X.word, slots.word, k_choice)
+        if key in self.lines:
+            return self.lines[key]
         rel = self.rel
         steps = rel.steps(X)
         if not steps:
-            v = A_diagonal(X, rel.point(self.p, slots), self.ctx) \
-                if Y.word == X.word else 0.0 + 0j
-            self.memo[key] = v
-            return v
+            line = [0.0 + 0j] * len(self.order)
+            line[self.index[X.word]] = A_diagonal(X, rel.point(self.p, slots), self.ctx)
+            self.lines[key] = line
+            return line
         k = k_choice if k_choice is not None else steps[0]
         anchor = rel.move(X, k)
         swapped = slots.pos_swap(k)
@@ -200,10 +226,12 @@ class _TwoTermRecursion:
         den = 1.0 - r2c * r2s
         if abs(den) < POLE_TOL ** 0.5:
             raise ResonanceError(f"singular update at {X.word}")
-        v = (r1s * self.value(anchor, rel.move(Y, k), swapped)
-             + r2s * r1c * self.value(anchor, Y, slots)) / den
-        self.memo[key] = v
-        return v
+        sw = self.line(anchor, swapped)
+        sl = self.line(anchor, slots)
+        r21 = r2s * r1c
+        line = [(r1s * sw[m] + r21 * v) / den for m, v in zip(self.moved[k], sl)]
+        self.lines[key] = line
+        return line
 
 
 def _assemble(rel: _Relation, p: ParameterPoint, ctx: ThetaContext,
@@ -212,20 +240,22 @@ def _assemble(rel: _Relation, p: ParameterPoint, ctx: ThetaContext,
     every grown index through each alternative step and requires
     agreement."""
     rec = _TwoTermRecursion(rel, p, ctx)
-    order = all_permutations(p.n)
+    order = rec.order
     ident = Permutation.identity(p.n)
-    entries = np.array([[rec.value(*rel.cell(I, J), ident) for J in order]
-                        for I in order], dtype=complex)
+    lines = [rec.line(X, ident) for X in order]
+    entries = np.array(lines, dtype=complex)
+    if rel.transpose:
+        entries = entries.T.copy()
     matrix = RestrictionMatrix(n=p.n, sigma=ident, order=order, entries=entries,
                                provenance=provenance, point=p)
     if crosscheck:
         scale = 1.0 + matrix.max_abs()
-        for X in order:
+        for X, main in zip(order, lines):
             for k in rel.steps(X)[1:]:
-                for Y in order:
-                    I, J = rel.cell(X, Y)
-                    delta = abs(rec.value(X, Y, ident, k) - matrix.entry(I, J)) / scale
+                for Y, v, w in zip(order, rec.line(X, ident, k), main):
+                    delta = abs(v - w) / scale
                     if delta > ctx.tol:
+                        I, J = rel.cell(X, Y)
                         raise ConsistencyError(
                             f"step k={k} disagrees at (row, column) = "
                             f"({I.word}, {J.word}): |delta|/scale = {delta:.3e}")

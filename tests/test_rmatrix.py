@@ -167,8 +167,10 @@ class TestRecursionBuilders:
             build_A_by_dual_recursion(p, ctx, crosscheck=True)
 
     def test_each_coefficient_pair_computed_once(self, ctx, monkeypatch):
-        # one crosschecked n=4 R + dual build; a driver that recomputes the
-        # coefficients for every other index makes 29,568 calls
+        # one crosschecked n=4 R + dual build meets 72 distinct (a, b, i, j)
+        # keys per relation, two entries each; a recursion that recomputes the
+        # coefficients for every other index makes 29,568 calls, one keyed
+        # on (anchor, k, slots) 1,000
         p = random_parameter_point(4, np.random.default_rng(1), ctx)
         calls = []
         felder = rmatrix.felder_R
@@ -180,26 +182,37 @@ class TestRecursionBuilders:
         monkeypatch.setattr(rmatrix, "felder_R", counted)
         build_A_by_R_recursion(p, ctx, crosscheck=True)
         build_A_by_dual_recursion(p, ctx, crosscheck=True)
-        assert len(calls) == 1_000
+        assert len(calls) == 288
 
     def test_n5_recursions_agree(self, ctx):
         p = random_parameter_point(5, np.random.default_rng(5), ctx)
         start = time.perf_counter()
-        r = build_A_by_R_recursion(p, ctx)
-        d = build_A_by_dual_recursion(p, ctx)
-        assert time.perf_counter() - start < 20.0
+        r = build_A_by_R_recursion(p, ctx, crosscheck=True)
+        d = build_A_by_dual_recursion(p, ctx, crosscheck=True)
+        assert time.perf_counter() - start < 5.0
         assert r.max_deviation(d) < 1e-7
+
+    def test_crosscheck_leaves_the_matrix_bit_identical(self, ctx):
+        # the lines grown through alternative steps never replace the
+        # lines the matrix is stacked from
+        p = random_parameter_point(4, np.random.default_rng(2), ctx)
+        for build in (build_A_by_R_recursion, build_A_by_dual_recursion):
+            plain = build(p, ctx).entries.tobytes()
+            assert build(p, ctx, crosscheck=True).entries.tobytes() == plain
 
     def test_resonant_point_raises(self, ctx, rng):
         p = random_parameter_point(3, rng, ctx)
         bad = ParameterPoint(log_z=p.log_z,
                              log_mu=(p.log_mu[0], p.log_mu[0], p.log_mu[2]),
                              log_h=p.log_h)
-        with pytest.raises(ResonanceError):
+        # the first grown index met in (row, column) order is named
+        with pytest.raises(ResonanceError,
+                           match=r"resonant coefficient at \(2, 1, 3\)"):
             build_A_by_R_recursion(bad, ctx)
         bad_z = ParameterPoint(log_z=(p.log_z[0], p.log_z[0], p.log_z[2]),
                                log_mu=p.log_mu, log_h=p.log_h)
-        with pytest.raises(ResonanceError):
+        with pytest.raises(ResonanceError,
+                           match=r"resonant coefficient at \(1, 2, 3\)"):
             build_A_by_dual_recursion(bad_z, ctx)
 
     def test_recursion_diagonal_matches_closed_form(self, ctx, rng):
