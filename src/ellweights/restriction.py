@@ -9,14 +9,16 @@ with an explicit theta-product diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .errors import EvaluationError
 from .permcomb import (Permutation, all_permutations, bruhat_leq,
                        fixed_point_tables, mirror_index)
-from .qtheta import ThetaContext
-from .weightfn import ChernPoint, P, ParameterPoint, W_sigma
+from .qtheta import ThetaContext, theta
+from .weightfn import ChernPoint, ParameterPoint, W_sigma, theta_product
 
 
 def restriction_point(J: Permutation, p: ParameterPoint) -> ChernPoint:
@@ -50,8 +52,15 @@ def A_diagonal(I: Permutation, p: ParameterPoint, ctx: ThetaContext) -> complex:
     """Closed form of the diagonal entry: the sign of I times the z-side
     product at index I times the mu-side product at the reflected inverse
     index, with reversed mu arguments."""
+    return diagonal_product(I, p, partial(theta, ctx))
+
+
+def diagonal_product(I: Permutation, p: ParameterPoint,
+                     th: Callable[[complex], complex]) -> complex:
+    """A_diagonal with theta(ctx, lx) read through th(lx)."""
     M = mirror_index(I)
-    return I.sign() * P(I, p.log_z, p, ctx) * P(M, p.log_mu[::-1], p, ctx)
+    return (I.sign() * theta_product(I, p.log_z, p, th)
+            * theta_product(M, p.log_mu[::-1], p, th))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ triangularity plus the closed-form diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -33,7 +34,7 @@ from .errors import ConsistencyError, PoleError, ResonanceError
 from .mirror import kappa_substitute
 from .permcomb import Permutation, all_permutations
 from .qtheta import POLE_TOL, ThetaContext, theta
-from .restriction import A_diagonal, RestrictionMatrix, relative_residual
+from .restriction import RestrictionMatrix, diagonal_product, relative_residual
 from .weightfn import ParameterPoint
 
 
@@ -45,18 +46,24 @@ def felder_R(kind: str, j: int, k: int, lx, p: ParameterPoint,
     ``exchange`` is the index-exchanging entry.  lx is the log of the
     spectral argument x.
     """
+    return _felder(kind, j, k, lx, p, partial(theta, ctx))
+
+
+def _felder(kind: str, j: int, k: int, lx, p: ParameterPoint,
+            th: Callable[[complex], complex]) -> complex:
+    # felder_R with theta(ctx, lx) read through th(lx)
     if kind not in ("diag", "exchange"):
         raise ValueError(f"unknown kind {kind!r}")
     if j == k:
         raise ValueError("distinct indices required for non-trivial entries")
     lmu = p.mu(j) - p.mu(k)
-    den_x = theta(ctx, lx + p.log_h)
-    den_mu = theta(ctx, lmu)
+    den_x = th(lx + p.log_h)
+    den_mu = th(lmu)
     if abs(den_x) < POLE_TOL or abs(den_mu) < POLE_TOL:
         raise PoleError("R-matrix denominator vanished")
     if kind == "diag":
-        return theta(ctx, lx) * theta(ctx, p.log_h + lmu) / (den_x * den_mu)
-    return theta(ctx, lx + lmu) * theta(ctx, p.log_h) / (den_x * den_mu)
+        return th(lx) * th(p.log_h + lmu) / (den_x * den_mu)
+    return th(lx + lmu) * th(p.log_h) / (den_x * den_mu)
 
 
 def dual_R(kind: str, j: int, k: int, lx, p: ParameterPoint,
@@ -80,45 +87,40 @@ def _exchange_key(anchor: Permutation, k: int,
             slots(k), slots(k + 1))
 
 
-def _exchange_coeffs(p: ParameterPoint, ctx: ThetaContext,
-                     key: tuple[int, int, int, int]) -> tuple[complex, complex]:
-    a, b, i, j = key
-    x = p.z(i) - p.z(j)
-    return felder_R("diag", a, b, x, p, ctx), felder_R("exchange", b, a, x, p, ctx)
-
-
 def _dual_key(anchor: Permutation, k: int,
               slots: Permutation) -> tuple[int, int, int, int]:
-    # a, b: reflected values of the anchor at k, k+1; x = mu_i / mu_j
+    # the dual entries at (n+1-anchor(k), n+1-anchor(k+1)) and
+    # x = mu_{slots(k+1)} / mu_{slots(k)} are the Felder entries below at the
+    # swapped point, whose z slot n+1-i holds mu_i
     n = len(anchor)
-    return n + 1 - anchor(k), n + 1 - anchor(k + 1), slots(k + 1), slots(k)
+    return anchor(k + 1), anchor(k), n + 1 - slots(k + 1), n + 1 - slots(k)
 
 
-def _dual_coeffs(p: ParameterPoint, ctx: ThetaContext,
+def _felder_pair(q: ParameterPoint, th: Callable[[complex], complex],
                  key: tuple[int, int, int, int]) -> tuple[complex, complex]:
     a, b, i, j = key
-    x = p.mu(i) - p.mu(j)
-    return dual_R("diag", a, b, x, p, ctx), dual_R("exchange", b, a, x, p, ctx)
+    x = q.z(i) - q.z(j)
+    return _felder("diag", a, b, x, q, th), _felder("exchange", b, a, x, q, th)
 
 
 @dataclass(frozen=True)
 class _Relation:
     """For a step k in steps(X) of the grown index X (the row, or the
     column when ``transpose`` is set), its anchor move(X, k), the other
-    index Y and (r1, r2) = coeffs(p, ctx, key(anchor, k, slots)):
+    index Y and (r1, r2) = _felder_pair(frame(p), th, key(anchor, k, slots)):
 
         A[X, move(Y, k)] at point(p, slots.pos_swap(k))
             = r1 A[anchor, Y] + r2 A[X, Y], both at point(p, slots).
 
-    ``key`` holds exactly the values the two Felder entries read, so equal
-    keys give equal coefficients.  The one grown index without steps seeds
-    the recursion.
+    ``key`` holds exactly the values the two Felder entries read at the
+    point frame(p), so equal keys give equal coefficients.  The one grown
+    index without steps seeds the recursion.
     """
 
     steps: Callable[[Permutation], list[int]]
     move: Callable[[Permutation, int], Permutation]
     key: Callable[[Permutation, int, Permutation], tuple[int, int, int, int]]
-    coeffs: Callable[..., tuple[complex, complex]]
+    frame: Callable[[ParameterPoint], ParameterPoint]
     point: Callable[[ParameterPoint, Permutation], ParameterPoint]
     transpose: bool
 
@@ -128,10 +130,10 @@ class _Relation:
 
 
 _EXCHANGE = _Relation(Permutation.value_descents, Permutation.value_swap,
-                      _exchange_key, _exchange_coeffs, ParameterPoint.permute_z,
+                      _exchange_key, lambda p: p, ParameterPoint.permute_z,
                       transpose=False)
 _DUAL = _Relation(Permutation.word_ascents, Permutation.pos_swap,
-                  _dual_key, _dual_coeffs, ParameterPoint.permute_mu,
+                  _dual_key, kappa_substitute, ParameterPoint.permute_mu,
                   transpose=True)
 
 
@@ -143,7 +145,8 @@ def _relation_residual(rel: _Relation, X: Permutation, Y: Permutation, k: int,
     if k not in rel.steps(X):
         X = rel.move(X, k)
     anchor = rel.move(X, k)
-    r1, r2 = rel.coeffs(p, ctx, rel.key(anchor, k, ident))
+    r1, r2 = _felder_pair(rel.frame(p), partial(theta, ctx),
+                          rel.key(anchor, k, ident))
     lhs = entry(*rel.cell(X, rel.move(Y, k)), rel.point(p, ident.pos_swap(k)))
     t1 = r1 * entry(*rel.cell(anchor, Y), p)
     t2 = r2 * entry(*rel.cell(X, Y), p)
@@ -183,24 +186,35 @@ class _TwoTermRecursion:
     position swap solves to the update below.  Its coefficients do not
     depend on Y, so one pass over ``moved[k]``, the index of move(Y, k) for
     each Y, updates the whole line, and ``coeffs`` keeps each key's pair
-    once.  Lines stay plain lists of Python complex, so every entry is
-    rounded exactly as the scalar update rounds it.
+    once.  Every theta the build reads, in the coefficients and in the seed
+    diagonals, goes through ``thetas``, which keeps theta(ctx, lx) for each
+    distinct log-argument lx; the table lives as long as the build.  Lines
+    stay plain lists of Python complex, so every entry is rounded exactly
+    as the scalar update rounds it.
     """
 
     def __init__(self, rel: _Relation, p: ParameterPoint, ctx: ThetaContext):
         self.rel, self.p, self.ctx = rel, p, ctx
+        self.frame = rel.frame(p)
         self.order = all_permutations(p.n)
         self.index = {Y.word: y for y, Y in enumerate(self.order)}
         self.moved = {k: [self.index[rel.move(Y, k).word] for Y in self.order]
                       for k in range(1, p.n)}
         self.lines: dict = {}
         self.coeffs: dict = {}
+        self.thetas: dict = {}
+
+    def _theta(self, lx: complex) -> complex:
+        value = self.thetas.get(lx)
+        if value is None:
+            value = self.thetas[lx] = theta(self.ctx, lx)
+        return value
 
     def _coeffs(self, anchor: Permutation, k: int,
                 slots: Permutation) -> tuple[complex, complex]:
         key = self.rel.key(anchor, k, slots)
         if key not in self.coeffs:
-            self.coeffs[key] = self.rel.coeffs(self.p, self.ctx, key)
+            self.coeffs[key] = _felder_pair(self.frame, self._theta, key)
         return self.coeffs[key]
 
     def line(self, X: Permutation, slots: Permutation,
@@ -212,7 +226,8 @@ class _TwoTermRecursion:
         steps = rel.steps(X)
         if not steps:
             line = [0.0 + 0j] * len(self.order)
-            line[self.index[X.word]] = A_diagonal(X, rel.point(self.p, slots), self.ctx)
+            line[self.index[X.word]] = diagonal_product(
+                X, rel.point(self.p, slots), self._theta)
             self.lines[key] = line
             return line
         k = k_choice if k_choice is not None else steps[0]

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .errors import PoleError
 from .permcomb import (Permutation, compose_values, fixed_point_tables,
@@ -195,6 +197,12 @@ def P(I: Permutation, log_w: tuple[complex, ...], p: ParameterPoint,
     """Diagonal theta product over pairs k < l: theta(hbar w_{I_l}/w_{I_k})
     when I_l < I_k and theta(w_{I_l}/w_{I_k}) when I_l > I_k, with argument
     slots filled from log_w."""
+    return theta_product(I, log_w, p, partial(theta, ctx))
+
+
+def theta_product(I: Permutation, log_w: tuple[complex, ...], p: ParameterPoint,
+                  th: Callable[[complex], complex]) -> complex:
+    """P with theta(ctx, lx) read through th(lx)."""
     n = len(I)
     if len(log_w) != n:
         raise ValueError("argument list size mismatch")
@@ -203,5 +211,5 @@ def P(I: Permutation, log_w: tuple[complex, ...], p: ParameterPoint,
         for l in range(k + 1, n + 1):
             il, ik = I.word[l - 1], I.word[k - 1]
             lx = log_w[il - 1] - log_w[ik - 1]
-            out *= theta(ctx, p.log_h + lx) if il < ik else theta(ctx, lx)
+            out *= th(p.log_h + lx) if il < ik else th(lx)
     return out

@@ -10,12 +10,18 @@ from ellweights import (ConsistencyError, ParameterPoint, Permutation,
                         build_A_by_dual_recursion, build_A_by_R_recursion,
                         build_A_direct, dual_R, dual_residual, entry_cache,
                         exchange_residual, felder_R, random_parameter_point,
-                        rmatrix)
+                        restriction, rmatrix, weightfn)
 
 # Frozen outputs of the direct theta-ratio oracle at q = 0.3,
 # lx = 0.37+0.62j, log hbar = 0.2+0.45j, log mu = (-0.31+1.2j, 0.45-0.83j).
 GOLDEN_DIAG = 0.4822679172038732 - 0.10976033387816878j
 GOLDEN_EXCH = 0.31274796386984577 - 0.0296967380816218j
+
+
+def _untabled(monkeypatch):
+    # every theta lookup of a recursion build misses its per-build table
+    monkeypatch.setattr(rmatrix._TwoTermRecursion, "_theta",
+                        lambda rec, lx: rmatrix.theta(rec.ctx, lx))
 
 
 @pytest.fixture()
@@ -173,16 +179,45 @@ class TestRecursionBuilders:
         # on (anchor, k, slots) 1,000
         p = random_parameter_point(4, np.random.default_rng(1), ctx)
         calls = []
-        felder = rmatrix.felder_R
+        felder = rmatrix._felder
 
         def counted(*args):
             calls.append(args)
             return felder(*args)
 
-        monkeypatch.setattr(rmatrix, "felder_R", counted)
+        monkeypatch.setattr(rmatrix, "_felder", counted)
         build_A_by_R_recursion(p, ctx, crosscheck=True)
         build_A_by_dual_recursion(p, ctx, crosscheck=True)
         assert len(calls) == 288
+
+    def test_each_theta_evaluated_once_per_build(self, ctx, monkeypatch):
+        # the same crosschecked n=4 builds read 121 distinct theta arguments
+        # each, in the coefficients and the seed diagonals; without the
+        # per-build table they evaluate theta 864 times each
+        p = random_parameter_point(4, np.random.default_rng(1), ctx)
+        args = []
+        plain = rmatrix.theta
+
+        def counted(c, lx):
+            args.append(lx)
+            return plain(c, lx)
+
+        for module in (rmatrix, restriction, weightfn):
+            monkeypatch.setattr(module, "theta", counted)
+        for build in (build_A_by_R_recursion, build_A_by_dual_recursion):
+            args.clear()
+            build(p, ctx, crosscheck=True)
+            assert len(args) == len(set(args)) == 121
+
+    @pytest.mark.parametrize("n, seed", [(3, 3), (4, 2)])
+    def test_theta_table_leaves_the_matrices_bit_identical(self, n, seed, ctx,
+                                                           monkeypatch):
+        p = random_parameter_point(n, np.random.default_rng(seed), ctx)
+        builds = (build_A_by_R_recursion, build_A_by_dual_recursion)
+        tabled = [b(p, ctx, crosscheck=True).entries.tobytes() for b in builds]
+        _untabled(monkeypatch)
+        for build, want in zip(builds, tabled):
+            assert build(p, ctx, crosscheck=True).entries.tobytes() == want
 
     def test_n5_recursions_agree(self, ctx):
         p = random_parameter_point(5, np.random.default_rng(5), ctx)
@@ -200,7 +235,7 @@ class TestRecursionBuilders:
             plain = build(p, ctx).entries.tobytes()
             assert build(p, ctx, crosscheck=True).entries.tobytes() == plain
 
-    def test_resonant_point_raises(self, ctx, rng):
+    def test_resonant_point_raises(self, ctx, rng, monkeypatch):
         p = random_parameter_point(3, rng, ctx)
         bad = ParameterPoint(log_z=p.log_z,
                              log_mu=(p.log_mu[0], p.log_mu[0], p.log_mu[2]),
@@ -214,6 +249,35 @@ class TestRecursionBuilders:
         with pytest.raises(ResonanceError,
                            match=r"resonant coefficient at \(1, 2, 3\)"):
             build_A_by_dual_recursion(bad_z, ctx)
+        # dyadic logs with mu_2/mu_1 = z_1/z_2 = 1/hbar exactly: a seed
+        # diagonal stores theta(hbar mu_2/mu_1) = theta(1) = 0, and the first
+        # coefficient with x = z_1/z_2 reads its vanishing den_x = theta(x hbar)
+        # from the table
+        h = 0.25 + 0.5j
+        dyadic = ParameterPoint(log_z=(0.125 + 0.375j, 0.375 + 0.875j, -0.625 + 0.25j),
+                                log_mu=(0.5 - 0.25j, 0.25 - 0.75j, -0.375 + 1.125j),
+                                log_h=h)
+        zeros = {"computed": 0, "read": 0}
+        plain, lookup = rmatrix.theta, rmatrix._TwoTermRecursion._theta
+
+        def counted(c, lx):
+            zeros["computed"] += lx == 0
+            return plain(c, lx)
+
+        def read(rec, lx):
+            zeros["read"] += lx == 0
+            return lookup(rec, lx)
+
+        monkeypatch.setattr(rmatrix, "theta", counted)
+        monkeypatch.setattr(rmatrix._TwoTermRecursion, "_theta", read)
+        with pytest.raises(ResonanceError,
+                           match=r"resonant coefficient at \(2, 1, 3\)") as served:
+            build_A_by_R_recursion(dyadic, ctx)
+        assert zeros == {"computed": 1, "read": 3}
+        _untabled(monkeypatch)
+        with pytest.raises(ResonanceError) as fresh:
+            build_A_by_R_recursion(dyadic, ctx)
+        assert str(fresh.value) == str(served.value)
 
     def test_recursion_diagonal_matches_closed_form(self, ctx, rng):
         from ellweights import A_diagonal
