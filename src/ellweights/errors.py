@@ -15,8 +15,10 @@ class PoleError(EvaluationError):
 
 
 class ResonanceError(EvaluationError):
-    """A recursion coefficient is singular at the parameter point; the point
-    is resonant and should be resampled."""
+    """A recursion coefficient is singular at the parameter point: theta(x)
+    or theta(hbar - m) of its key is below POLE_TOL.  Sampled points never
+    raise it, since resonance_margin bounds both below by RESONANCE_TOL;
+    a point that does is resonant and should be resampled."""
 
 
 class ConsistencyError(EvaluationError):

@@ -103,6 +103,16 @@ def _felder_pair(q: ParameterPoint, th: Callable[[complex], complex],
     return _felder("diag", a, b, x, q, th), _felder("exchange", b, a, x, q, th)
 
 
+def _update_pair(q: ParameterPoint, th: Callable[[complex], complex],
+                 key: tuple[int, int, int, int]) -> tuple[complex, complex]:
+    a, b, i, j = key
+    x, m, h = q.z(i) - q.z(j), q.mu(a) - q.mu(b), q.log_h
+    tx, thm = th(x), th(h - m)
+    if abs(tx) < POLE_TOL or abs(thm) < POLE_TOL:
+        raise PoleError("theta(x) or theta(hbar - m) vanished")
+    return -th(x + h) * th(m) / (tx * thm), th(x + m) * th(h) / (tx * thm)
+
+
 @dataclass(frozen=True)
 class _Relation:
     """For a step k in steps(X) of the grown index X (the row, or the
@@ -182,15 +192,17 @@ class _TwoTermRecursion:
     ``rel.point(p, slots)``, one for each other index Y in
     ``all_permutations(n)`` order.  At the seed, triangularity plus the
     closed-form diagonal fix the line.  Any other X comes from its anchor
-    move(X, k) for a step k: the relation at ``slots`` and at its k-th
-    position swap solves to the update below.  Its coefficients do not
-    depend on Y, so one pass over ``moved[k]``, the index of move(Y, k) for
-    each Y, updates the whole line, and ``coeffs`` keeps each key's pair
-    once.  Every theta the build reads, in the coefficients and in the seed
-    diagonals, goes through ``thetas``, which keeps theta(ctx, lx) for each
-    distinct log-argument lx; the table lives as long as the build.  Lines
-    stay plain lists of Python complex, so every entry is rounded exactly
-    as the scalar update rounds it.
+    move(X, k) for a step k: the relation at ``slots`` (pair r1c, r2c) and
+    at its k-th position swap (r1s, r2s; x -> -x) solve to
+    line[Y] = c1 sw[moved[k][Y]] + c2 sl[Y], with sw, sl the anchor's lines
+    there, moved[k][Y] the index of move(Y, k), c1 = r1s / (1 - r2c r2s)
+    and c2 = r2s r1c / (1 - r2c r2s).  Unitarity of Felder's R-matrix
+    (arXiv:hep-th/9412207) gives 1 - r2c r2s = r1c diag(b, a, -x), and
+    theta is odd, so ``_update_pair`` writes both as theta ratios with no
+    difference left to cancel.  ``coeffs`` keeps each key's pair once.
+    Every theta the build reads, in the coefficients and the seed
+    diagonals, goes through ``thetas``, kept per distinct log-argument for
+    as long as the build.
     """
 
     def __init__(self, rel: _Relation, p: ParameterPoint, ctx: ThetaContext):
@@ -200,9 +212,7 @@ class _TwoTermRecursion:
         self.index = {Y.word: y for y, Y in enumerate(self.order)}
         self.moved = {k: [self.index[rel.move(Y, k).word] for Y in self.order]
                       for k in range(1, p.n)}
-        self.lines: dict = {}
-        self.coeffs: dict = {}
-        self.thetas: dict = {}
+        self.lines, self.coeffs, self.thetas = {}, {}, {}
 
     def _theta(self, lx: complex) -> complex:
         value = self.thetas.get(lx)
@@ -210,42 +220,31 @@ class _TwoTermRecursion:
             value = self.thetas[lx] = theta(self.ctx, lx)
         return value
 
-    def _coeffs(self, anchor: Permutation, k: int,
-                slots: Permutation) -> tuple[complex, complex]:
-        key = self.rel.key(anchor, k, slots)
-        if key not in self.coeffs:
-            self.coeffs[key] = _felder_pair(self.frame, self._theta, key)
-        return self.coeffs[key]
-
     def line(self, X: Permutation, slots: Permutation,
              k_choice: int | None = None) -> list[complex]:
-        key = (X.word, slots.word, k_choice)
-        if key in self.lines:
-            return self.lines[key]
+        state = (X.word, slots.word, k_choice)
+        if state in self.lines:
+            return self.lines[state]
         rel = self.rel
         steps = rel.steps(X)
         if not steps:
             line = [0.0 + 0j] * len(self.order)
             line[self.index[X.word]] = diagonal_product(
                 X, rel.point(self.p, slots), self._theta)
-            self.lines[key] = line
-            return line
-        k = k_choice if k_choice is not None else steps[0]
-        anchor = rel.move(X, k)
-        swapped = slots.pos_swap(k)
-        try:
-            r1c, r2c = self._coeffs(anchor, k, slots)
-            r1s, r2s = self._coeffs(anchor, k, swapped)
-        except PoleError as exc:
-            raise ResonanceError(f"resonant coefficient at {X.word}: {exc}")
-        den = 1.0 - r2c * r2s
-        if abs(den) < POLE_TOL ** 0.5:
-            raise ResonanceError(f"singular update at {X.word}")
-        sw = self.line(anchor, swapped)
-        sl = self.line(anchor, slots)
-        r21 = r2s * r1c
-        line = [(r1s * sw[m] + r21 * v) / den for m, v in zip(self.moved[k], sl)]
-        self.lines[key] = line
+        else:
+            k = k_choice if k_choice is not None else steps[0]
+            anchor = rel.move(X, k)
+            key = rel.key(anchor, k, slots)
+            if key not in self.coeffs:
+                try:
+                    self.coeffs[key] = _update_pair(self.frame, self._theta, key)
+                except PoleError as exc:
+                    raise ResonanceError(f"resonant coefficient at {X.word}: {exc}")
+            c1, c2 = self.coeffs[key]
+            sw = self.line(anchor, slots.pos_swap(k))
+            sl = self.line(anchor, slots)
+            line = [c1 * sw[m] + c2 * v for m, v in zip(self.moved[k], sl)]
+        self.lines[state] = line
         return line
 
 

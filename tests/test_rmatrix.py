@@ -10,7 +10,7 @@ from ellweights import (ConsistencyError, ParameterPoint, Permutation,
                         build_A_by_dual_recursion, build_A_by_R_recursion,
                         build_A_direct, dual_R, dual_residual, entry_cache,
                         exchange_residual, felder_R, random_parameter_point,
-                        restriction, rmatrix, weightfn)
+                        restriction, rmatrix, theta, weightfn)
 
 # Frozen outputs of the direct theta-ratio oracle at q = 0.3,
 # lx = 0.37+0.62j, log hbar = 0.2+0.45j, log mu = (-0.31+1.2j, 0.45-0.83j).
@@ -54,6 +54,27 @@ class TestFelderEntries:
             felder_R("off-diag", 1, 2, 0.1, golden_point, ctx)
         with pytest.raises(ValueError):
             felder_R("diag", 2, 2, 0.1, golden_point, ctx)
+
+    def test_unitarity(self, ctx):
+        # R(x) R_21(1/x) = 1 on the exchange block: the recursion's
+        # 1 - e(b, a, x) e(b, a, -x) is the product d(a, b, x) d(b, a, -x),
+        # over every key (a, b, i, j) of one n=4 point.  Measured worst
+        # relative residual 2.5e-15; bound 1e-14.
+        p = random_parameter_point(4, np.random.default_rng(1), ctx)
+        worst = 0.0
+        for a in range(1, 5):
+            for b in range(1, 5):
+                for i in range(1, 5):
+                    for j in range(1, 5):
+                        if a == b or i == j:
+                            continue
+                        x = p.z(i) - p.z(j)
+                        ee = (felder_R("exchange", b, a, x, p, ctx)
+                              * felder_R("exchange", b, a, -x, p, ctx))
+                        dd = (felder_R("diag", a, b, x, p, ctx)
+                              * felder_R("diag", b, a, -x, p, ctx))
+                        worst = max(worst, restriction.relative_residual(dd, 1.0, -ee))
+        assert worst < 1e-14
 
 
 class TestDualEntries:
@@ -109,23 +130,32 @@ class TestRelationResiduals:
                                              entry=entry))
 
     def test_rewritten_update_matches_direct(self, ctx, rng):
-        # the solved two-term update behind the row recursion, checked
-        # against direct entries at n=2 for both column choices
+        # the closed-form two-term update behind the row recursion, checked
+        # against direct entries at n=2 for both column choices; the solved
+        # form r1i / den, r2i r1x / den is its cross-reference
         p = random_parameter_point(2, rng, ctx)
         ident = Permutation.identity(2)
         flip = Permutation((2, 1))
-        x = p.z(1) - p.z(2)
+        x, m, h = p.z(1) - p.z(2), p.mu(1) - p.mu(2), p.log_h
+
+        def th(lx):
+            return theta(ctx, lx)
+
+        c1 = -th(x + h) * th(m) / (th(x) * th(h - m))
+        c2 = th(x + m) * th(h) / (th(x) * th(h - m))
+        assert rmatrix._update_pair(p, th, (1, 2, 1, 2)) == (c1, c2)
         a, b = 1, 2
         r1x = felder_R("diag", a, b, x, p, ctx)
         r2x = felder_R("exchange", b, a, x, p, ctx)
         r1i = felder_R("diag", a, b, -x, p, ctx)
         r2i = felder_R("exchange", b, a, -x, p, ctx)
         den = 1.0 - r2x * r2i
+        assert abs(c1 - r1i / den) < ctx.tol * abs(c1)
+        assert abs(c2 - r2i * r1x / den) < ctx.tol * abs(c2)
         direct = build_A_direct(ident, p, ctx)
         swapped = build_A_direct(ident, p.permute_z(flip), ctx)
         for J in (ident, flip):
-            got = (r1i * swapped.entry(ident, J)
-                   + r2i * r1x * direct.entry(ident, J.value_swap(1))) / den
+            got = c1 * swapped.entry(ident, J) + c2 * direct.entry(ident, J.value_swap(1))
             want = direct.entry(flip, J.value_swap(1))
             assert abs(got - want) < ctx.tol * (1.0 + abs(want))
 
@@ -173,27 +203,25 @@ class TestRecursionBuilders:
             build_A_by_dual_recursion(p, ctx, crosscheck=True)
 
     def test_each_coefficient_pair_computed_once(self, ctx, monkeypatch):
-        # one crosschecked n=4 R + dual build meets 72 distinct (a, b, i, j)
-        # keys per relation, two entries each; a recursion that recomputes the
-        # coefficients for every other index makes 29,568 calls, one keyed
-        # on (anchor, k, slots) 1,000
+        # one crosschecked n=4 R + dual build meets 52 distinct (a, b, i, j)
+        # keys per relation and computes one update pair for each
         p = random_parameter_point(4, np.random.default_rng(1), ctx)
         calls = []
-        felder = rmatrix._felder
+        pair = rmatrix._update_pair
 
         def counted(*args):
             calls.append(args)
-            return felder(*args)
+            return pair(*args)
 
-        monkeypatch.setattr(rmatrix, "_felder", counted)
+        monkeypatch.setattr(rmatrix, "_update_pair", counted)
         build_A_by_R_recursion(p, ctx, crosscheck=True)
         build_A_by_dual_recursion(p, ctx, crosscheck=True)
-        assert len(calls) == 288
+        assert len(calls) == len({(c[0], c[2]) for c in calls}) == 104
 
     def test_each_theta_evaluated_once_per_build(self, ctx, monkeypatch):
-        # the same crosschecked n=4 builds read 121 distinct theta arguments
-        # each, in the coefficients and the seed diagonals; without the
-        # per-build table they evaluate theta 864 times each
+        # the same crosschecked n=4 builds read 89 distinct theta arguments
+        # each, in the coefficients and the seed diagonals, and evaluate
+        # each once
         p = random_parameter_point(4, np.random.default_rng(1), ctx)
         args = []
         plain = rmatrix.theta
@@ -207,7 +235,7 @@ class TestRecursionBuilders:
         for build in (build_A_by_R_recursion, build_A_by_dual_recursion):
             args.clear()
             build(p, ctx, crosscheck=True)
-            assert len(args) == len(set(args)) == 121
+            assert len(args) == len(set(args)) == 89
 
     @pytest.mark.parametrize("n, seed", [(3, 3), (4, 2)])
     def test_theta_table_leaves_the_matrices_bit_identical(self, n, seed, ctx,
@@ -236,23 +264,31 @@ class TestRecursionBuilders:
             assert build(p, ctx, crosscheck=True).entries.tobytes() == plain
 
     def test_resonant_point_raises(self, ctx, rng, monkeypatch):
+        # an update coefficient is singular where theta(x) vanishes, x the
+        # z ratio of the R recursion and the mu ratio of the dual one
         p = random_parameter_point(3, rng, ctx)
-        bad = ParameterPoint(log_z=p.log_z,
-                             log_mu=(p.log_mu[0], p.log_mu[0], p.log_mu[2]),
-                             log_h=p.log_h)
+        bad = ParameterPoint(log_z=(p.log_z[0], p.log_z[0], p.log_z[2]),
+                             log_mu=p.log_mu, log_h=p.log_h)
         # the first grown index met in (row, column) order is named
         with pytest.raises(ResonanceError,
                            match=r"resonant coefficient at \(2, 1, 3\)"):
             build_A_by_R_recursion(bad, ctx)
-        bad_z = ParameterPoint(log_z=(p.log_z[0], p.log_z[0], p.log_z[2]),
-                               log_mu=p.log_mu, log_h=p.log_h)
+        bad_mu = ParameterPoint(log_z=p.log_z,
+                                log_mu=(p.log_mu[0], p.log_mu[0], p.log_mu[2]),
+                                log_h=p.log_h)
         with pytest.raises(ResonanceError,
                            match=r"resonant coefficient at \(1, 2, 3\)"):
-            build_A_by_dual_recursion(bad_z, ctx)
+            build_A_by_dual_recursion(bad_mu, ctx)
+        # each point swapped between the relations zeroes only theta(m), a
+        # numerator of the update: both build, and R matches the direct matrix
+        direct = build_A_direct(Permutation.identity(3), bad_mu, ctx)
+        assert direct.max_deviation(build_A_by_R_recursion(bad_mu, ctx,
+                                                           crosscheck=True)) < ctx.tol
+        build_A_by_dual_recursion(bad, ctx, crosscheck=True)
         # dyadic logs with mu_2/mu_1 = z_1/z_2 = 1/hbar exactly: a seed
         # diagonal stores theta(hbar mu_2/mu_1) = theta(1) = 0, and the first
-        # coefficient with x = z_1/z_2 reads its vanishing den_x = theta(x hbar)
-        # from the table
+        # coefficient, with m = mu_1/mu_2 = hbar, reads its vanishing
+        # theta(hbar - m) from the table
         h = 0.25 + 0.5j
         dyadic = ParameterPoint(log_z=(0.125 + 0.375j, 0.375 + 0.875j, -0.625 + 0.25j),
                                 log_mu=(0.5 - 0.25j, 0.25 - 0.75j, -0.375 + 1.125j),
@@ -278,6 +314,24 @@ class TestRecursionBuilders:
         with pytest.raises(ResonanceError) as fresh:
             build_A_by_R_recursion(dyadic, ctx)
         assert str(fresh.value) == str(served.value)
+
+    def test_points_the_subtracted_update_rejected(self):
+        # q=0.3, n=4: with the update divided by 1 - r2c r2s these points
+        # raised "singular update" (dual at default_rng(4) and (12), R at
+        # (20)); q=0.5i, trunc 120: the dual build of the recursion_n4
+        # benchmark op at default_rng(13001563) did.  Measured: R-vs-dual
+        # 8.8e-13 at seed 4, direct-vs-recursion 9.0e-13 there.
+        cases = [(ThetaContext.create(q=0.3), seed) for seed in (4, 12, 20)]
+        cases.append((ThetaContext.create(q=0.5j, trunc=120), 13001563))
+        for ctx, seed in cases:
+            p = random_parameter_point(4, np.random.default_rng(seed), ctx)
+            r = build_A_by_R_recursion(p, ctx, crosscheck=True)
+            d = build_A_by_dual_recursion(p, ctx, crosscheck=True)
+            assert r.max_deviation(d) < ctx.tol
+            if seed == 4:
+                direct = build_A_direct(Permutation.identity(4), p, ctx)
+                assert direct.max_deviation(r) < ctx.tol
+                assert direct.max_deviation(d) < ctx.tol
 
     def test_recursion_diagonal_matches_closed_form(self, ctx, rng):
         from ellweights import A_diagonal
