@@ -13,7 +13,7 @@ from .permcomb import (FixedPointTables, Permutation, all_permutations,
 from .weightfn import (ChernPoint, P, ParameterPoint, U, W, W_sigma,
                        is_generic, psi, weight_terms)
 from .restriction import (A_diagonal, A_direct, RestrictionMatrix,
-                          build_A_direct, entry_cache, restriction_point)
+                          build_A_direct, restriction_point)
 from .rmatrix import (build_A_by_dual_recursion, build_A_by_R_recursion,
                       dual_R, dual_residual, exchange_residual, felder_R)
 from .mirror import (DualityInterface, global_sign, interpolation_residuals,
@@ -31,7 +31,7 @@ __all__ = [
     "ChernPoint", "P", "ParameterPoint", "U", "W", "W_sigma", "is_generic",
     "psi", "weight_terms",
     "A_diagonal", "A_direct", "RestrictionMatrix", "build_A_direct",
-    "entry_cache", "restriction_point",
+    "restriction_point",
     "build_A_by_dual_recursion", "build_A_by_R_recursion", "dual_R",
     "dual_residual", "exchange_residual", "felder_R",
     "DualityInterface", "global_sign", "interpolation_residuals",

@@ -17,9 +17,9 @@ import numpy as np
 from .errors import IllConditionedError
 from .permcomb import Permutation, all_permutations, compose, mirror_index
 from .qtheta import ThetaContext
-from .restriction import (build_A_direct, relative_residual,
+from .restriction import (build_A_direct, direct_entries, relative_residual,
                           restriction_point)
-from .weightfn import ChernPoint, ParameterPoint, W, weight_terms
+from .weightfn import ChernPoint, ParameterPoint, W
 
 
 def kappa_substitute(p: ParameterPoint) -> ParameterPoint:
@@ -36,22 +36,22 @@ def global_sign(n: int) -> int:
     return -1 if (n * (n - 1) // 2) % 2 else 1
 
 
-def _entry_with_scale(I: Permutation, J: Permutation, p: ParameterPoint,
-                      ctx: ThetaContext) -> tuple[complex, float]:
-    terms = weight_terms(I, restriction_point(J, p), p, ctx)
-    return sum(terms), max(abs(t) for t in terms)
-
-
-def mirror_residual(I: Permutation, J: Permutation, p: ParameterPoint,
-                    ctx: ThetaContext) -> float:
-    """Normalized residual |LHS - RHS| / (|LHS| + |RHS| + S) of the
-    parameter-swap identity at (I, J), where S is the largest term modulus
+def mirror_residual(p: ParameterPoint, ctx: ThetaContext) -> np.ndarray:
+    """Normalized residuals |LHS - RHS| / (|LHS| + |RHS| + S) of the
+    parameter-swap identity, indexed [i, j] by the row and column of the
+    identity-chamber direct matrix at p, where S is the largest term modulus
     met while evaluating either side."""
-    n = len(I)
-    lhs, s1 = _entry_with_scale(I, J, p, ctx)
-    rhs_raw, s2 = _entry_with_scale(mirror_index(J), mirror_index(I),
-                                    kappa_substitute(p), ctx)
-    return relative_residual(lhs, global_sign(n) * rhs_raw, scale=max(s1, s2))
+    ident, order = Permutation.identity(p.n), all_permutations(p.n)
+    lhs = list(direct_entries(ident, p, ctx))
+    rhs = list(direct_entries(ident, kappa_substitute(p), ctx))
+    refl = [order.index(mirror_index(I)) for I in order]
+    m, sgn = len(order), global_sign(p.n)
+    out = np.empty((m, m))
+    for i in range(m):
+        for j in range(m):
+            (a, s1), (b, s2) = lhs[i * m + j], rhs[refl[j] * m + refl[i]]
+            out[i, j] = relative_residual(a, sgn * b, scale=max(s1, s2))
+    return out
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ with an explicit theta-product diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
+from dataclasses import dataclass
+from functools import lru_cache, partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -18,7 +18,8 @@ from .errors import EvaluationError
 from .permcomb import (Permutation, all_permutations, bruhat_leq,
                        fixed_point_tables, mirror_index)
 from .qtheta import ThetaContext, theta
-from .weightfn import ChernPoint, ParameterPoint, W_sigma, theta_product
+from .weightfn import (ChernPoint, ParameterPoint, W_sigma, chamber_twist,
+                       theta_product, weight_terms)
 
 
 def restriction_point(J: Permutation, p: ParameterPoint) -> ChernPoint:
@@ -63,6 +64,16 @@ def diagonal_product(I: Permutation, p: ParameterPoint,
             * theta_product(M, p.log_mu[::-1], p, th))
 
 
+@lru_cache(maxsize=8)
+def strict_bruhat_mask(n: int) -> np.ndarray:
+    """Read-only mask of the pairs (I, J) of ``all_permutations(n)`` with J
+    strictly above I in Bruhat order."""
+    order = all_permutations(n)
+    mask = np.array([[I != J and bruhat_leq(I, J) for J in order] for I in order])
+    mask.flags.writeable = False
+    return mask
+
+
 @dataclass(frozen=True)
 class RestrictionMatrix:
     """Full n! x n! matrix of fixed-point restrictions.
@@ -77,26 +88,17 @@ class RestrictionMatrix:
     entries: np.ndarray
     provenance: str
     point: ParameterPoint
-    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_index",
-                           {p.word: i for i, p in enumerate(self.order)})
         m = len(self.order)
         if self.entries.shape != (m, m):
             raise ValueError("entry array shape mismatch")
 
-    def index_of(self, I: Permutation) -> int:
-        return self._index[I.word]
-
     def entry(self, I: Permutation, J: Permutation) -> complex:
-        return complex(self.entries[self.index_of(I), self.index_of(J)])
+        return complex(self.entries[self.order.index(I), self.order.index(J)])
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.entries)))
-
-    def row_scale(self, I: Permutation) -> float:
-        return float(np.max(np.abs(self.entries[self.index_of(I)])))
 
     def max_deviation(self, other: "RestrictionMatrix") -> float:
         """Largest entrywise deviation relative to the joint scale."""
@@ -105,25 +107,18 @@ class RestrictionMatrix:
 
     def zero_pairs(self, tol: float) -> list[tuple[Permutation, Permutation]]:
         """Observed numerically-zero entries (support is recorded, not
-        asserted: vanishing beyond strict Bruhat order is an observation)."""
-        out = []
-        for i, I in enumerate(self.order):
-            thresh = tol * (1.0 + self.row_scale(I))
-            for j, J in enumerate(self.order):
-                if abs(self.entries[i, j]) < thresh:
-                    out.append((I, J))
-        return out
+        asserted: vanishing beyond strict Bruhat order is an observation):
+        |entry| < tol * (1 + max |row|)."""
+        mod = np.abs(self.entries)
+        rows, cols = np.nonzero(mod < tol * (1.0 + mod.max(axis=1))[:, None])
+        return [(self.order[i], self.order[j]) for i, j in zip(rows, cols)]
 
     def triangularity_violation(self) -> float:
         """Worst |entry| / (1 + row scale) over pairs with J strictly above
         I in Bruhat order (0.0 when exactly triangular)."""
-        worst = 0.0
-        for i, I in enumerate(self.order):
-            scale = 1.0 + self.row_scale(I)
-            for j, J in enumerate(self.order):
-                if I.word != J.word and bruhat_leq(I, J):
-                    worst = max(worst, abs(self.entries[i, j]) / scale)
-        return worst
+        mod = np.abs(self.entries)
+        ratios = mod / (1.0 + mod.max(axis=1))[:, None]
+        return float(ratios.max(where=strict_bruhat_mask(self.n), initial=0.0))
 
     def to_json_dict(self) -> dict:
         return {
@@ -145,38 +140,32 @@ def moduli_csv(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_A_direct(sigma: Permutation, p: ParameterPoint,
-                   ctx: ThetaContext) -> RestrictionMatrix:
-    """Assemble the full matrix by direct evaluation, in row-major order.
+def direct_entries(sigma: Permutation, p: ParameterPoint,
+                   ctx: ThetaContext) -> Iterator[tuple[complex, float]]:
+    """Each entry of the chamber-sigma direct matrix at p, row-major in
+    ``all_permutations`` order, as its value and the largest modulus among
+    its symmetrization terms.
 
     The first entry that fails to evaluate stops the sweep with an error
     of the same type naming the entry.
     """
-    n = p.n
-    order = all_permutations(n)
+    order = all_permutations(p.n)
+    for I in order:
+        K, q = chamber_twist(sigma, I, p)
+        for J in order:
+            try:
+                terms = weight_terms(K, restriction_point(J, p), q, ctx)
+            except EvaluationError as exc:
+                raise type(exc)(f"entry ({I.word}, {J.word}): {exc}") from exc
+            yield sum(terms), max(map(abs, terms))
 
-    def one(I: Permutation, J: Permutation) -> complex:
-        try:
-            return A_direct(sigma, I, J, p, ctx)
-        except EvaluationError as exc:
-            raise type(exc)(f"entry ({I.word}, {J.word}): {exc}") from exc
 
-    values = [one(I, J) for I in order for J in order]
+def build_A_direct(sigma: Permutation, p: ParameterPoint,
+                   ctx: ThetaContext) -> RestrictionMatrix:
+    """Assemble the full matrix from the values of ``direct_entries``."""
+    order = all_permutations(p.n)
     m = len(order)
+    values = [v for v, _ in direct_entries(sigma, p, ctx)]
     entries = np.array(values, dtype=complex).reshape(m, m)
-    return RestrictionMatrix(n=n, sigma=sigma, order=order, entries=entries,
+    return RestrictionMatrix(n=p.n, sigma=sigma, order=order, entries=entries,
                              provenance="direct", point=p)
-
-
-def entry_cache(ctx: ThetaContext):
-    """Callable entry(I, J, p) of the identity-chamber direct matrix at any
-    point p, building each point's matrix once."""
-    mats: dict = {}
-
-    def entry(I: Permutation, J: Permutation, p: ParameterPoint) -> complex:
-        mat = mats.get(p)
-        if mat is None:
-            mat = mats[p] = build_A_direct(Permutation.identity(p.n), p, ctx)
-        return mat.entry(I, J)
-
-    return entry

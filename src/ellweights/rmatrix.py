@@ -25,7 +25,7 @@ triangularity plus the closed-form diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -34,7 +34,8 @@ from .errors import ConsistencyError, PoleError, ResonanceError
 from .mirror import kappa_substitute
 from .permcomb import Permutation, all_permutations
 from .qtheta import POLE_TOL, ThetaContext, theta
-from .restriction import RestrictionMatrix, diagonal_product, relative_residual
+from .restriction import (RestrictionMatrix, build_A_direct, diagonal_product,
+                          relative_residual)
 from .weightfn import ParameterPoint
 
 
@@ -46,24 +47,18 @@ def felder_R(kind: str, j: int, k: int, lx, p: ParameterPoint,
     ``exchange`` is the index-exchanging entry.  lx is the log of the
     spectral argument x.
     """
-    return _felder(kind, j, k, lx, p, partial(theta, ctx))
-
-
-def _felder(kind: str, j: int, k: int, lx, p: ParameterPoint,
-            th: Callable[[complex], complex]) -> complex:
-    # felder_R with theta(ctx, lx) read through th(lx)
     if kind not in ("diag", "exchange"):
         raise ValueError(f"unknown kind {kind!r}")
     if j == k:
         raise ValueError("distinct indices required for non-trivial entries")
     lmu = p.mu(j) - p.mu(k)
-    den_x = th(lx + p.log_h)
-    den_mu = th(lmu)
+    den_x = theta(ctx, lx + p.log_h)
+    den_mu = theta(ctx, lmu)
     if abs(den_x) < POLE_TOL or abs(den_mu) < POLE_TOL:
         raise PoleError("R-matrix denominator vanished")
     if kind == "diag":
-        return th(lx) * th(p.log_h + lmu) / (den_x * den_mu)
-    return th(lx + lmu) * th(p.log_h) / (den_x * den_mu)
+        return theta(ctx, lx) * theta(ctx, p.log_h + lmu) / (den_x * den_mu)
+    return theta(ctx, lx + lmu) * theta(ctx, p.log_h) / (den_x * den_mu)
 
 
 def dual_R(kind: str, j: int, k: int, lx, p: ParameterPoint,
@@ -96,11 +91,11 @@ def _dual_key(anchor: Permutation, k: int,
     return anchor(k + 1), anchor(k), n + 1 - slots(k + 1), n + 1 - slots(k)
 
 
-def _felder_pair(q: ParameterPoint, th: Callable[[complex], complex],
+def _felder_pair(q: ParameterPoint, ctx: ThetaContext,
                  key: tuple[int, int, int, int]) -> tuple[complex, complex]:
     a, b, i, j = key
     x = q.z(i) - q.z(j)
-    return _felder("diag", a, b, x, q, th), _felder("exchange", b, a, x, q, th)
+    return felder_R("diag", a, b, x, q, ctx), felder_R("exchange", b, a, x, q, ctx)
 
 
 def _update_pair(q: ParameterPoint, th: Callable[[complex], complex],
@@ -117,7 +112,7 @@ def _update_pair(q: ParameterPoint, th: Callable[[complex], complex],
 class _Relation:
     """For a step k in steps(X) of the grown index X (the row, or the
     column when ``transpose`` is set), its anchor move(X, k), the other
-    index Y and (r1, r2) = _felder_pair(frame(p), th, key(anchor, k, slots)):
+    index Y and (r1, r2) = _felder_pair(frame(p), ctx, key(anchor, k, slots)):
 
         A[X, move(Y, k)] at point(p, slots.pos_swap(k))
             = r1 A[anchor, Y] + r2 A[X, Y], both at point(p, slots).
@@ -134,10 +129,6 @@ class _Relation:
     point: Callable[[ParameterPoint, Permutation], ParameterPoint]
     transpose: bool
 
-    def cell(self, X: Permutation, Y: Permutation) -> tuple[Permutation, Permutation]:
-        """(row, column) of grown index X and other index Y, and back."""
-        return (Y, X) if self.transpose else (X, Y)
-
 
 _EXCHANGE = _Relation(Permutation.value_descents, Permutation.value_swap,
                       _exchange_key, lambda p: p, ParameterPoint.permute_z,
@@ -147,37 +138,56 @@ _DUAL = _Relation(Permutation.word_ascents, Permutation.pos_swap,
                   transpose=True)
 
 
-def _relation_residual(rel: _Relation, X: Permutation, Y: Permutation, k: int,
-                       p: ParameterPoint, ctx: ThetaContext, entry) -> float:
-    """Normalized residual of ``rel`` for the pair {X, move(X, k)} at the
-    other index Y; either member of the pair gives the same residual."""
-    ident = Permutation.identity(p.n)
-    if k not in rel.steps(X):
-        X = rel.move(X, k)
-    anchor = rel.move(X, k)
-    r1, r2 = _felder_pair(rel.frame(p), partial(theta, ctx),
-                          rel.key(anchor, k, ident))
-    lhs = entry(*rel.cell(X, rel.move(Y, k)), rel.point(p, ident.pos_swap(k)))
-    t1 = r1 * entry(*rel.cell(anchor, Y), p)
-    t2 = r2 * entry(*rel.cell(X, Y), p)
-    return relative_residual(lhs, t1, t2)
+@cache
+def _tables(rel: _Relation, n: int) -> tuple[dict, dict]:
+    """index: word -> position in ``all_permutations(n)``; moved[k]: the
+    position of move(Y, k) for each Y there."""
+    order = all_permutations(n)
+    index = {Y.word: y for y, Y in enumerate(order)}
+    return index, {k: tuple(index[rel.move(Y, k).word] for Y in order)
+                   for k in range(1, n)}
 
 
-def exchange_residual(I: Permutation, J: Permutation, k: int,
-                      p: ParameterPoint, ctx: ThetaContext,
-                      entry) -> float:
-    """Normalized residual of the exchange relation for the row pair
-    {I, I value_swap k} at column J.  The ``entry`` callable maps
-    (I, J, point) -> complex, such as ``restriction.entry_cache(ctx)``."""
-    return _relation_residual(_EXCHANGE, I, J, k, p, ctx, entry)
+def _relation_residuals(rel: _Relation, A: RestrictionMatrix,
+                        ctx: ThetaContext) -> np.ndarray:
+    """Normalized residuals of ``rel`` at A.point, indexed [k-1, i, j] by
+    the step k and the (row, column) of the identity-chamber direct matrix
+    A.  Both members of a pair {X, move(X, k)} of grown indices carry the
+    pair's one residual at each other index Y."""
+    p, n, order = A.point, A.n, A.order
+    ident = Permutation.identity(n)
+    _, moved = _tables(rel, n)
+    frame = rel.frame(p)
+
+    def lines(M: RestrictionMatrix) -> list[list[complex]]:
+        return (M.entries.T if rel.transpose else M.entries).tolist()
+
+    base = lines(A)
+    out = np.zeros((n - 1, len(order), len(order)))
+    for k in range(1, n):
+        swapped = lines(build_A_direct(ident, rel.point(p, ident.pos_swap(k)), ctx))
+        mk = moved[k]
+        for x, a in enumerate(mk):
+            if k not in rel.steps(order[x]):
+                continue
+            r1, r2 = _felder_pair(frame, ctx, rel.key(order[a], k, ident))
+            for y in range(len(order)):
+                out[k - 1, x, y] = out[k - 1, a, y] = relative_residual(
+                    swapped[x][mk[y]], r1 * base[a][y], r2 * base[x][y])
+    return out.transpose(0, 2, 1) if rel.transpose else out
 
 
-def dual_residual(I: Permutation, J: Permutation, k: int,
-                  p: ParameterPoint, ctx: ThetaContext,
-                  entry) -> float:
-    """Normalized residual of the dual relation for the column pair
-    {J, J pos_swap k} at row I; ``entry`` as in exchange_residual."""
-    return _relation_residual(_DUAL, J, I, k, p, ctx, entry)
+def exchange_residual(A: RestrictionMatrix, ctx: ThetaContext) -> np.ndarray:
+    """Residuals of the exchange relation for every row pair
+    {I, I value_swap k} and column J, indexed [k-1, i, j]; A is the
+    identity-chamber direct matrix at the point checked."""
+    return _relation_residuals(_EXCHANGE, A, ctx)
+
+
+def dual_residual(A: RestrictionMatrix, ctx: ThetaContext) -> np.ndarray:
+    """Residuals of the dual relation for every column pair
+    {J, J pos_swap k} and row I, indexed as in exchange_residual."""
+    return _relation_residuals(_DUAL, A, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +219,7 @@ class _TwoTermRecursion:
         self.rel, self.p, self.ctx = rel, p, ctx
         self.frame = rel.frame(p)
         self.order = all_permutations(p.n)
-        self.index = {Y.word: y for y, Y in enumerate(self.order)}
-        self.moved = {k: [self.index[rel.move(Y, k).word] for Y in self.order]
-                      for k in range(1, p.n)}
+        self.index, self.moved = _tables(rel, p.n)
         self.lines, self.coeffs, self.thetas = {}, {}, {}
 
     def _theta(self, lx: complex) -> complex:
@@ -269,7 +277,7 @@ def _assemble(rel: _Relation, p: ParameterPoint, ctx: ThetaContext,
                 for Y, v, w in zip(order, rec.line(X, ident, k), main):
                     delta = abs(v - w) / scale
                     if delta > ctx.tol:
-                        I, J = rel.cell(X, Y)
+                        I, J = (Y, X) if rel.transpose else (X, Y)
                         raise ConsistencyError(
                             f"step k={k} disagrees at (row, column) = "
                             f"({I.word}, {J.word}): |delta|/scale = {delta:.3e}")

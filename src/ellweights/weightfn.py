@@ -184,12 +184,18 @@ def W(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext) -> co
     return sum(weight_terms(I, t, p, ctx))
 
 
+def chamber_twist(sigma: Permutation, I: Permutation,
+                  p: ParameterPoint) -> tuple[Permutation, ParameterPoint]:
+    """The value-wise composed index sigma^{-1} o I and p with its z slots
+    permuted by sigma: where the chamber-sigma weight function of I reads W."""
+    return compose_values(sigma.inverse(), I), p.permute_z(sigma)
+
+
 def W_sigma(sigma: Permutation, I: Permutation, t: ChernPoint,
             p: ParameterPoint, ctx: ThetaContext) -> complex:
-    """Chamber-twisted weight function: W at the value-wise composed index
-    sigma^{-1} o I with the z slots permuted by sigma."""
-    K = compose_values(sigma.inverse(), I)
-    return W(K, t, p.permute_z(sigma), ctx)
+    """Chamber-twisted weight function: W at chamber_twist(sigma, I, p)."""
+    K, q = chamber_twist(sigma, I, p)
+    return W(K, t, q, ctx)
 
 
 def P(I: Permutation, log_w: tuple[complex, ...], p: ParameterPoint,

@@ -96,6 +96,17 @@ class TestVerifyMode:
         status, report = run(cfg(n=2, suites=("rmatrel", "dualrel")))
         assert status == 0
 
+    def test_n1_relation_and_mirror_suites(self):
+        # no steps at n = 1: both relations report zero checks and residual
+        # 0.0; the mirror suite has its single identity
+        status, report = run(RunConfig(n=1, suites=("rmatrel", "dualrel", "mirror")))
+        assert status == 0
+        checks = [c for s in report["suites"].values() for c in s["checks"]]
+        assert [(c["id"], c["pass"]) for c in checks] == [
+            ("exchange relation x0 pt=0", True), ("dual relation x0 pt=0", True),
+            ("mirror I=1 J=1 pt=0", True)]
+        assert checks[0]["residual"] == checks[1]["residual"] == 0.0
+
     def test_interface_suite(self):
         status, report = run(cfg(n=2, suites=("interface",)))
         assert status == 0

@@ -7,7 +7,10 @@ from ellweights import (A_direct, DualityInterface, IllConditionedError,
                         all_permutations, global_sign,
                         interpolation_residuals, kappa_substitute,
                         mirror_index, mirror_residual, random_chern_point,
-                        random_parameter_point)
+                        random_parameter_point, restriction_point,
+                        weight_terms)
+from ellweights import mirror
+from ellweights.restriction import relative_residual
 
 
 class TestKappa:
@@ -41,9 +44,9 @@ class TestMirrorIdentity:
 
     def test_n2_all_four(self, ctx, rng):
         p = random_parameter_point(2, rng, ctx)
-        for I in all_permutations(2):
-            for J in all_permutations(2):
-                assert mirror_residual(I, J, p, ctx) < ctx.tol
+        res = mirror_residual(p, ctx)
+        assert res.shape == (2, 2)
+        assert (res < ctx.tol).all()
 
     def test_n2_reduces_to_theta_parity(self, ctx, rng):
         # the diagonal identity pairs the two diagonal entries with the
@@ -57,9 +60,35 @@ class TestMirrorIdentity:
 
     def test_n3_all_36(self, ctx, rng):
         p = random_parameter_point(3, rng, ctx)
-        for I in all_permutations(3):
-            for J in all_permutations(3):
-                assert mirror_residual(I, J, p, ctx) < ctx.tol
+        res = mirror_residual(p, ctx)
+        assert res.shape == (6, 6)
+        assert (res < ctx.tol).all()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_array_equals_the_per_entry_oracle(self, n, ctx, rng):
+        # each side entry by entry from its symmetrization terms, with the
+        # largest term modulus of either side as the extra scale
+        def entry(I, J, q):
+            terms = weight_terms(I, restriction_point(J, q), q, ctx)
+            return sum(terms), max(abs(t) for t in terms)
+
+        p = random_parameter_point(n, rng, ctx)
+        res = mirror_residual(p, ctx)
+        for i, I in enumerate(all_permutations(n)):
+            for j, J in enumerate(all_permutations(n)):
+                lhs, s1 = entry(I, J, p)
+                rhs, s2 = entry(mirror_index(J), mirror_index(I), kappa_substitute(p))
+                assert res[i, j] == relative_residual(
+                    lhs, global_sign(n) * rhs, scale=max(s1, s2))
+
+    def test_one_call_builds_two_matrices(self, ctx, rng, monkeypatch):
+        calls = []
+        sweep = mirror.direct_entries
+        monkeypatch.setattr(mirror, "direct_entries",
+                            lambda *a: calls.append(a[1]) or sweep(*a))
+        p = random_parameter_point(3, rng, ctx)
+        mirror_residual(p, ctx)
+        assert calls == [p, kappa_substitute(p)]
 
     def test_n3_nontrivial_pairings(self, ctx, rng):
         # the three index pairs whose identities are genuinely two-term

@@ -7,7 +7,7 @@ import pytest
 
 from ellweights import (A_diagonal, A_direct, ChernPoint, ParameterPoint,
                         Permutation, PoleError, all_permutations, bruhat_leq,
-                        build_A_direct, compose_values, entry_cache,
+                        build_A_direct, compose_values,
                         mirror_index, P, random_parameter_point,
                         restriction_point, theta, W)
 from ellweights import restriction
@@ -142,6 +142,28 @@ class TestTriangularity:
         for I, J in zeros:
             assert not (bruhat_leq(J, I) and I.word != J.word)  # none below diagonal
 
+    def test_array_checks_match_the_pairwise_definitions(self, ctx, rng):
+        # a dense matrix, so every strictly-above pair counts: the worst
+        # |entry| / (1 + max |row|) over J strictly above I, and the pairs
+        # with |entry| < tol (1 + max |row|)
+        order = all_permutations(3)
+        entries = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        entries[rng.random((6, 6)) < 0.3] *= 1e-9
+        mat = restriction.RestrictionMatrix(
+            n=3, sigma=Permutation.identity(3), order=order, entries=entries,
+            provenance="test", point=random_parameter_point(3, rng, ctx))
+        worst, zeros = 0.0, []
+        for i, I in enumerate(order):
+            scale = 1.0 + max(abs(v) for v in entries[i])
+            for j, J in enumerate(order):
+                if I != J and bruhat_leq(I, J):
+                    worst = max(worst, abs(entries[i, j]) / scale)
+                if abs(entries[i, j]) < 1e-8 * scale:
+                    zeros.append((I, J))
+        assert worst > 0.0
+        assert mat.triangularity_violation() == pytest.approx(worst, rel=1e-15)
+        assert zeros and mat.zero_pairs(1e-8) == zeros
+
     def test_holomorphy_smoke(self, ctx, rng):
         # individual summands blow up as z1 -> z2 but the entry stays bounded
         base = random_parameter_point(3, rng, ctx)
@@ -215,21 +237,6 @@ class TestMatrixObject:
         p = random_parameter_point(2, rng, ctx)
         mat = build_A_direct(Permutation.identity(2), p, ctx)
         assert mat.max_deviation(mat) == 0.0
-
-    def test_entry_cache_builds_each_point_once(self, ctx, rng, monkeypatch):
-        p = random_parameter_point(2, rng, ctx)
-        builds = []
-        real = restriction.build_A_direct
-        monkeypatch.setattr(restriction, "build_A_direct",
-                            lambda *args: builds.append(args) or real(*args))
-        entry = entry_cache(ctx)
-        mat = real(Permutation.identity(2), p, ctx)
-        for I in all_permutations(2):
-            for J in all_permutations(2):
-                assert entry(I, J, p) == mat.entry(I, J)
-        swapped = p.permute_z(Permutation((2, 1)))
-        entry(Permutation.identity(2), Permutation.identity(2), swapped)
-        assert [args[1] for args in builds] == [p, swapped]
 
     def test_entry_lookup(self, ctx, rng):
         p = random_parameter_point(2, rng, ctx)

@@ -5,12 +5,14 @@ import time
 import numpy as np
 import pytest
 
-from ellweights import (ConsistencyError, ParameterPoint, Permutation,
+from ellweights import (A_direct, ConsistencyError, ParameterPoint, Permutation,
                         PoleError, ResonanceError, ThetaContext, all_permutations,
                         build_A_by_dual_recursion, build_A_by_R_recursion,
-                        build_A_direct, dual_R, dual_residual, entry_cache,
-                        exchange_residual, felder_R, random_parameter_point,
-                        restriction, rmatrix, theta, weightfn)
+                        build_A_direct, dual_R, dual_residual,
+                        exchange_residual, felder_R, kappa_substitute,
+                        random_parameter_point, restriction, rmatrix, theta,
+                        weightfn)
+from ellweights.restriction import relative_residual
 
 # Frozen outputs of the direct theta-ratio oracle at q = 0.3,
 # lx = 0.37+0.62j, log hbar = 0.2+0.45j, log mu = (-0.31+1.2j, 0.45-0.83j).
@@ -95,39 +97,91 @@ class TestDualEntries:
             assert dual_R(kind, 1, 3, lx, p, ctx) == felder_R(kind, 1, 3, lx, sub, ctx)
 
 
+def _exchange_oracle(I, J, k, p, ctx):
+    # the exchange relation for the row pair {I, I value_swap k} at column J,
+    # one A_direct call per entry
+    ident = Permutation.identity(p.n)
+    X = I if k in I.value_descents() else I.value_swap(k)
+    anchor = X.value_swap(k)
+    key = (anchor.word.index(k) + 1, anchor.word.index(k + 1) + 1, k, k + 1)
+    r1, r2 = rmatrix._felder_pair(p, ctx, key)
+    swapped = p.permute_z(ident.pos_swap(k))
+    return relative_residual(A_direct(ident, X, J.value_swap(k), swapped, ctx),
+                             r1 * A_direct(ident, anchor, J, p, ctx),
+                             r2 * A_direct(ident, X, J, p, ctx))
+
+
+def _dual_oracle(I, J, k, p, ctx):
+    # the dual relation for the column pair {J, J pos_swap k} at row I, with
+    # the dual entries read as Felder entries at the parameter swap
+    n = p.n
+    ident = Permutation.identity(n)
+    X = J if k in J.word_ascents() else J.pos_swap(k)
+    anchor = X.pos_swap(k)
+    key = (anchor(k + 1), anchor(k), n - k, n + 1 - k)
+    r1, r2 = rmatrix._felder_pair(kappa_substitute(p), ctx, key)
+    swapped = p.permute_mu(ident.pos_swap(k))
+    return relative_residual(A_direct(ident, I.pos_swap(k), X, swapped, ctx),
+                             r1 * A_direct(ident, I, anchor, p, ctx),
+                             r2 * A_direct(ident, I, X, p, ctx))
+
+
 class TestRelationResiduals:
     @pytest.mark.parametrize("n", [2, 3])
     def test_exchange_relation(self, n, ctx, rng):
         for _ in range(2):
             p = random_parameter_point(n, rng, ctx)
-            entry = entry_cache(ctx)
-            for I in all_permutations(n):
-                for J in all_permutations(n):
-                    for k in range(1, n):
-                        assert exchange_residual(I, J, k, p, ctx, entry) < ctx.tol
+            res = exchange_residual(build_A_direct(Permutation.identity(n), p, ctx), ctx)
+            assert res.shape == (n - 1, len(all_permutations(n)), len(all_permutations(n)))
+            assert (res < ctx.tol).all()
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_dual_relation(self, n, ctx, rng):
         for _ in range(2):
             p = random_parameter_point(n, rng, ctx)
-            entry = entry_cache(ctx)
-            for I in all_permutations(n):
-                for J in all_permutations(n):
-                    for k in range(1, n):
-                        assert dual_residual(I, J, k, p, ctx, entry) < ctx.tol
+            res = dual_residual(build_A_direct(Permutation.identity(n), p, ctx), ctx)
+            assert res.shape == (n - 1, len(all_permutations(n)), len(all_permutations(n)))
+            assert (res < ctx.tol).all()
 
     def test_either_member_of_a_pair_gives_the_same_residual(self, ctx, rng):
         p = random_parameter_point(3, rng, ctx)
-        entry = entry_cache(ctx)
-        for I in all_permutations(3):
-            for J in all_permutations(3):
-                for k in (1, 2):
-                    assert (exchange_residual(I, J, k, p, ctx, entry=entry)
-                            == exchange_residual(I.value_swap(k), J, k, p, ctx,
-                                                 entry=entry))
-                    assert (dual_residual(I, J, k, p, ctx, entry=entry)
-                            == dual_residual(I, J.pos_swap(k), k, p, ctx,
-                                             entry=entry))
+        A = build_A_direct(Permutation.identity(3), p, ctx)
+        ex, du = exchange_residual(A, ctx), dual_residual(A, ctx)
+        order = all_permutations(3)
+        for k in (1, 2):
+            swap_rows = [order.index(I.value_swap(k)) for I in order]
+            swap_cols = [order.index(J.pos_swap(k)) for J in order]
+            assert np.array_equal(ex[k - 1], ex[k - 1][swap_rows, :])
+            assert np.array_equal(du[k - 1], du[k - 1][:, swap_cols])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_arrays_equal_the_per_entry_oracle(self, n, ctx, rng):
+        p = random_parameter_point(n, rng, ctx)
+        A = build_A_direct(Permutation.identity(n), p, ctx)
+        ex, du = exchange_residual(A, ctx), dual_residual(A, ctx)
+        order = all_permutations(n)
+        for k in range(1, n):
+            for i, I in enumerate(order):
+                for j, J in enumerate(order):
+                    assert ex[k - 1, i, j] == _exchange_oracle(I, J, k, p, ctx)
+                    assert du[k - 1, i, j] == _dual_oracle(I, J, k, p, ctx)
+
+    def test_work_per_call(self, ctx, rng, monkeypatch):
+        # one call builds the n-1 swapped matrices and reads one Felder pair
+        # per pair of grown indices and step: (n-1) n!/2 pairs
+        builds, reads = [], []
+        build, pair = rmatrix.build_A_direct, rmatrix._felder_pair
+        monkeypatch.setattr(rmatrix, "build_A_direct",
+                            lambda *a: builds.append(a) or build(*a))
+        monkeypatch.setattr(rmatrix, "_felder_pair",
+                            lambda *a: reads.append(a) or pair(*a))
+        for n, pairs in ((2, 1), (3, 6)):
+            A = build(Permutation.identity(n), random_parameter_point(n, rng, ctx), ctx)
+            for residual in (exchange_residual, dual_residual):
+                builds.clear()
+                reads.clear()
+                residual(A, ctx)
+                assert (len(builds), len(reads)) == (n - 1, pairs)
 
     def test_rewritten_update_matches_direct(self, ctx, rng):
         # the closed-form two-term update behind the row recursion, checked
