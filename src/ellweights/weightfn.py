@@ -112,10 +112,14 @@ class ChernPoint:
 
 
 def psi(I: Permutation, k: int, a: int, c: int, lx,
-        p: ParameterPoint, ctx: ThetaContext) -> complex:
+        p: ParameterPoint, ctx: ThetaContext,
+        th: Callable[[complex], complex] | None = None) -> complex:
     """Case-analysis theta factor comparing the c-th ordered index at level
     k+1 against the a-th ordered index at level k; lx is the log of the
-    Chern-root ratio it multiplies."""
+    Chern-root ratio it multiplies.  theta(ctx, x) is read through th(x)
+    when th is given."""
+    if th is None:
+        th = partial(theta, ctx)
     n = len(I)
     if not (1 <= a <= k <= n - 1 and 1 <= c <= k + 1):
         raise ValueError(f"indices out of range: k={k}, a={a}, c={c} for n={n}")
@@ -123,12 +127,12 @@ def psi(I: Permutation, k: int, a: int, c: int, lx,
     ia = tab.ordered[k - 1][a - 1]
     ic = tab.ordered[k][c - 1]
     if ic < ia:
-        return theta(ctx, p.log_h + lx)
+        return th(p.log_h + lx)
     if ic > ia:
-        return theta(ctx, lx)
+        return th(lx)
     exp_h = 1 - p_function(I, k + 1, ia)
     j = tab.jindex(k, a)
-    return theta(ctx, lx + exp_h * p.log_h + p.mu(k + 1) - p.mu(j))
+    return th(lx + exp_h * p.log_h + p.mu(k + 1) - p.mu(j))
 
 
 def _level_args(I: Permutation, t: ChernPoint, p: ParameterPoint):
@@ -139,12 +143,16 @@ def _level_args(I: Permutation, t: ChernPoint, p: ParameterPoint):
     return list(t.levels) + [list(p.log_z)]
 
 
-def U(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext) -> complex:
-    """Single (unsymmetrized) alternating product term of the weight function.
+def U(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext,
+      th: Callable[[complex], complex] | None = None) -> complex:
+    """Single (unsymmetrized) alternating product term of the weight function,
+    with theta(ctx, x) read through th(x) when th is given.
 
     Raises PoleError when a level-internal theta denominator factor has
     modulus at most POLE_TOL.
     """
+    if th is None:
+        th = partial(theta, ctx)
     n = len(I)
     levels = _level_args(I, t, p)
     num = 1.0 + 0j
@@ -153,11 +161,10 @@ def U(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext) -> co
         tk, tk1 = levels[k - 1], levels[k]
         for a in range(1, k + 1):
             for c in range(1, k + 2):
-                num *= psi(I, k, a, c, tk1[c - 1] - tk[a - 1], p, ctx)
+                num *= psi(I, k, a, c, tk1[c - 1] - tk[a - 1], p, ctx, th)
         for a in range(1, k + 1):
             for b in range(a + 1, k + 1):
-                f = theta(ctx, tk[a - 1] + p.log_h - tk[b - 1]) \
-                    * theta(ctx, tk[b - 1] - tk[a - 1])
+                f = th(tk[a - 1] + p.log_h - tk[b - 1]) * th(tk[b - 1] - tk[a - 1])
                 if abs(f) <= POLE_TOL:
                     raise PoleError(
                         f"denominator theta vanished at level {k} (|.|={abs(f):.3e})")
@@ -167,14 +174,27 @@ def U(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext) -> co
 
 def weight_terms(I: Permutation, t: ChernPoint, p: ParameterPoint,
                  ctx: ThetaContext) -> list[complex]:
-    """All symmetrization terms of W_I in a fixed deterministic order."""
+    """All symmetrization terms of W_I in a fixed deterministic order.
+
+    The terms share one table of theta values keyed on the exact
+    log-argument, so each distinct theta of the call is evaluated once; the
+    table lives for this call only, and a theta that raises is not stored.
+    """
+    thetas: dict[complex, complex] = {}
+
+    def th(lx: complex) -> complex:
+        value = thetas.get(lx)
+        if value is None:
+            value = thetas[lx] = theta(ctx, lx)
+        return value
+
     n = len(I)
     terms = []
     for perms in itertools.product(
             *[itertools.permutations(range(k)) for k in range(1, n)]):
         tp = ChernPoint(tuple(tuple(lv[i] for i in perm)
                               for lv, perm in zip(t.levels, perms, strict=True)))
-        terms.append(U(I, tp, p, ctx))
+        terms.append(U(I, tp, p, ctx, th))
     return terms
 
 

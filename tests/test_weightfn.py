@@ -5,15 +5,24 @@ import json
 import numpy as np
 import pytest
 
-from ellweights import (ChernPoint, P, ParameterPoint, Permutation, PoleError,
-                        ThetaContext, U, W, W_sigma, all_permutations,
+from ellweights import (ChernPoint, EvaluationError, P, ParameterPoint,
+                        Permutation, PoleError, RangeError, ThetaContext, U,
+                        W, W_sigma, all_permutations, build_A_direct,
                         compose, compose_values, is_generic, psi,
-                        random_chern_point, random_parameter_point, theta,
-                        weight_terms)
+                        random_chern_point, random_parameter_point,
+                        restriction_point, theta, weight_terms, weightfn)
 
 
 def rel(a, b):
     return abs(a - b) / (abs(a) + abs(b) + 1e-300)
+
+
+def _untabled(monkeypatch):
+    # every term of a weight_terms call evaluates its own thetas: each
+    # lookup of the per-call table misses
+    plain = weightfn.U
+    monkeypatch.setattr(weightfn, "U",
+                        lambda I, t, p, ctx, th=None: plain(I, t, p, ctx))
 
 
 def w2_closed(I, t, p, ctx):
@@ -152,6 +161,97 @@ class TestW:
         t = random_chern_point(3, rng)
         for I in all_permutations(3):
             assert np.isfinite(W(I, t, p, tiny)).all()
+
+
+class TestThetaTable:
+    @pytest.mark.parametrize("q", [0.3, 0.5j])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_terms_and_matrices_bit_identical(self, n, q, monkeypatch):
+        # the per-call table changes no bit of any term or entry, the sign
+        # of zero included (+0j and -0j keys compare equal)
+        ctx = ThetaContext.create(q=q)
+        rng = np.random.default_rng(n)
+        p = random_parameter_point(n, rng, ctx)
+        t = random_chern_point(n, rng)
+        ident = Permutation.identity(n)
+        cycle = Permutation(tuple(range(2, n + 1)) + (1,))
+        sigmas = [ident, cycle] if n < 4 else [ident if q == 0.3 else cycle]
+        order = all_permutations(n)
+
+        def outputs():
+            terms = [weight_terms(I, t, p, ctx) for I in order]
+            return terms, [build_A_direct(s, p, ctx).entries.tobytes()
+                           for s in sigmas]
+
+        tabled = outputs()
+        _untabled(monkeypatch)
+        assert outputs() == tabled
+
+    def test_each_theta_evaluated_once_per_call(self, ctx, monkeypatch):
+        # one n=4 direct build reads 164 distinct theta arguments; each of
+        # its 576 weight_terms calls evaluates each of its own once, and no
+        # value carries over from one call to the next
+        p = random_parameter_point(4, np.random.default_rng(1), ctx)
+        args = []
+        plain = weightfn.theta
+
+        def counted(c, lx):
+            args.append(lx)
+            return plain(c, lx)
+
+        monkeypatch.setattr(weightfn, "theta", counted)
+        build_A_direct(Permutation.identity(4), p, ctx)
+        assert (len(args), len(set(args))) == (22_536, 164)
+        I, t = Permutation.longest(4), restriction_point(Permutation.identity(4), p)
+        args.clear()
+        weight_terms(I, t, p, ctx)
+        once = len(args)
+        assert once == len(set(args))
+        weight_terms(I, t, p, ctx)
+        assert len(args) == 2 * once
+
+    def test_errors_unchanged(self, ctx, rng, monkeypatch):
+        p = random_parameter_point(3, rng, ctx)
+        I = Permutation((3, 2, 1))
+        v = 0.25 + 0.5j
+        pole = ChernPoint(((0.1 + 0.2j,), (v, v)))          # theta(1) = 0
+        far = ChernPoint(((40.0 + 0j,), (0.1, 0.2)))       # |Re log x| > 32
+        bad = ParameterPoint(log_z=(p.log_z[0], p.log_z[0], p.log_z[2]),
+                             log_mu=p.log_mu, log_h=p.log_h)
+
+        def errors():
+            out = []
+            for call in (lambda: W(I, pole, p, ctx), lambda: W(I, far, p, ctx),
+                         lambda: build_A_direct(Permutation.identity(3), bad, ctx)):
+                with pytest.raises(EvaluationError) as info:
+                    call()
+                out.append((type(info.value), str(info.value)))
+            return out
+
+        tabled = errors()
+        assert [e for e, _ in tabled] == [PoleError, RangeError, PoleError]
+        assert tabled[2][1].startswith("entry ((1, 2, 3), ")
+        _untabled(monkeypatch)
+        assert errors() == tabled
+
+    def test_raising_theta_not_stored(self, ctx, rng, monkeypatch):
+        p = random_parameter_point(3, rng, ctx)
+        far = ChernPoint(((40.0 + 0j,), (0.1, 0.2)))
+        raised = []
+        plain = weightfn.theta
+
+        def counted(c, lx):
+            try:
+                return plain(c, lx)
+            except RangeError:
+                raised.append(lx)
+                raise
+
+        monkeypatch.setattr(weightfn, "theta", counted)
+        for _ in range(2):
+            with pytest.raises(RangeError):
+                weight_terms(Permutation((3, 2, 1)), far, p, ctx)
+        assert len(raised) == 2 and raised[0] == raised[1]
 
 
 class TestWSigma:
