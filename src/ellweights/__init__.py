@@ -9,7 +9,7 @@ from .errors import (ConsistencyError, EvaluationError, IllConditionedError,
 from .qtheta import ThetaContext, theta
 from .permcomb import (FixedPointTables, Permutation, all_permutations,
                        bruhat_leq, compose, compose_values, fixed_point_tables,
-                       mirror_index, p_function)
+                       mirror_index)
 from .weightfn import (ChernPoint, P, ParameterPoint, U, W, W_sigma,
                        is_generic, psi, weight_terms)
 from .restriction import (A_diagonal, A_direct, RestrictionMatrix,
@@ -27,7 +27,6 @@ __all__ = [
     "ThetaContext", "theta",
     "FixedPointTables", "Permutation", "all_permutations", "bruhat_leq",
     "compose", "compose_values", "fixed_point_tables", "mirror_index",
-    "p_function",
     "ChernPoint", "P", "ParameterPoint", "U", "W", "W_sigma", "is_generic",
     "psi", "weight_terms",
     "A_diagonal", "A_direct", "RestrictionMatrix", "build_A_direct",

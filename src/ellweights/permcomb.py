@@ -137,32 +137,17 @@ def bruhat_leq(I: Permutation, J: Permutation) -> bool:
 
 @dataclass(frozen=True)
 class FixedPointTables:
-    """Ordered index sets of a fixed point and their position lookup.
+    """Ordered index sets of a fixed point: ``ordered[k-1]`` is the
+    increasing arrangement i_1 < ... < i_k of {I_1, ..., I_k}."""
 
-    ``ordered[k-1]`` is the increasing arrangement i_1 < ... < i_k of
-    {I_1, ..., I_k}; ``jindex(k, a)`` is the position j <= k with
-    I_j = ordered[k-1][a-1].
-    """
-
-    word: tuple[int, ...]
     ordered: tuple[tuple[int, ...], ...]
-
-    def jindex(self, k: int, a: int) -> int:
-        return self.word.index(self.ordered[k - 1][a - 1]) + 1
 
 
 @lru_cache(maxsize=4096)
 def _tables_cached(word: tuple[int, ...]) -> FixedPointTables:
     ordered = tuple(tuple(sorted(word[:k])) for k in range(1, len(word) + 1))
-    return FixedPointTables(word=word, ordered=ordered)
+    return FixedPointTables(ordered=ordered)
 
 
 def fixed_point_tables(I: Permutation) -> FixedPointTables:
     return _tables_cached(I.word)
-
-
-def p_function(I: Permutation, j: int, m: int) -> int:
-    """1 if I_j < m else 0."""
-    if not 1 <= j <= len(I):
-        raise ValueError(f"index j={j} out of range 1..{len(I)}")
-    return 1 if I.word[j - 1] < m else 0

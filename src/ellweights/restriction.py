@@ -18,8 +18,8 @@ from .errors import EvaluationError
 from .permcomb import (Permutation, all_permutations, bruhat_leq,
                        fixed_point_tables, mirror_index)
 from .qtheta import ThetaContext, theta
-from .weightfn import (ChernPoint, ParameterPoint, W_sigma, chamber_twist,
-                       theta_product, weight_terms)
+from .weightfn import (ChernPoint, P, ParameterPoint, W_sigma, chamber_twist,
+                       weight_terms)
 
 
 def restriction_point(J: Permutation, p: ParameterPoint) -> ChernPoint:
@@ -49,19 +49,17 @@ def A_direct(sigma: Permutation, I: Permutation, J: Permutation,
     return W_sigma(sigma, I, restriction_point(J, p), p, ctx)
 
 
-def A_diagonal(I: Permutation, p: ParameterPoint, ctx: ThetaContext) -> complex:
+def A_diagonal(I: Permutation, p: ParameterPoint, ctx: ThetaContext,
+               th: Callable[[complex], complex] | None = None) -> complex:
     """Closed form of the diagonal entry: the sign of I times the z-side
     product at index I times the mu-side product at the reflected inverse
-    index, with reversed mu arguments."""
-    return diagonal_product(I, p, partial(theta, ctx))
-
-
-def diagonal_product(I: Permutation, p: ParameterPoint,
-                     th: Callable[[complex], complex]) -> complex:
-    """A_diagonal with theta(ctx, lx) read through th(lx)."""
+    index, with reversed mu arguments; theta(ctx, x) is read through th(x)
+    when th is given."""
+    if th is None:
+        th = partial(theta, ctx)
     M = mirror_index(I)
-    return (I.sign() * theta_product(I, p.log_z, p, th)
-            * theta_product(M, p.log_mu[::-1], p, th))
+    return (I.sign() * P(I, p.log_z, p, ctx, th)
+            * P(M, p.log_mu[::-1], p, ctx, th))
 
 
 @lru_cache(maxsize=8)
@@ -150,11 +148,12 @@ def direct_entries(sigma: Permutation, p: ParameterPoint,
     of the same type naming the entry.
     """
     order = all_permutations(p.n)
+    points = [restriction_point(J, p) for J in order]
     for I in order:
         K, q = chamber_twist(sigma, I, p)
-        for J in order:
+        for J, t in zip(order, points):
             try:
-                terms = weight_terms(K, restriction_point(J, p), q, ctx)
+                terms = weight_terms(K, t, q, ctx)
             except EvaluationError as exc:
                 raise type(exc)(f"entry ({I.word}, {J.word}): {exc}") from exc
             yield sum(terms), max(map(abs, terms))

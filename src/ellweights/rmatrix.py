@@ -34,7 +34,7 @@ from .errors import ConsistencyError, PoleError, ResonanceError
 from .mirror import kappa_substitute
 from .permcomb import Permutation, all_permutations
 from .qtheta import POLE_TOL, ThetaContext, theta
-from .restriction import (RestrictionMatrix, build_A_direct, diagonal_product,
+from .restriction import (A_diagonal, RestrictionMatrix, build_A_direct,
                           relative_residual)
 from .weightfn import ParameterPoint
 
@@ -237,8 +237,8 @@ class _TwoTermRecursion:
         steps = rel.steps(X)
         if not steps:
             line = [0.0 + 0j] * len(self.order)
-            line[self.index[X.word]] = diagonal_product(
-                X, rel.point(self.p, slots), self._theta)
+            line[self.index[X.word]] = A_diagonal(
+                X, rel.point(self.p, slots), self.ctx, self._theta)
         else:
             k = k_choice if k_choice is not None else steps[0]
             anchor = rel.move(X, k)

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 from .errors import PoleError
-from .permcomb import (Permutation, compose_values, fixed_point_tables,
-                       p_function)
+from .permcomb import Permutation, compose_values
 from .qtheta import POLE_TOL, ThetaContext, theta
 
 #: theta-denominator modulus below which a random point counts as resonant
@@ -111,6 +110,30 @@ class ChernPoint:
         return len(self.levels) + 1
 
 
+@lru_cache(maxsize=4096)
+def _psi_cases(I: Permutation) -> tuple:
+    """The case (e, j) of psi at every slot of I, as cases[k-1][a-1][c-1]:
+    (1, None) if i_c < i_a, (0, None) if i_c > i_a, else e = 1 iff
+    I_{k+1} > i_a and I_j = i_a; i_a is the a-th smallest of I_1..I_k and
+    i_c the c-th smallest of I_1..I_{k+1}."""
+    w = I.word
+    return tuple(
+        tuple(tuple((int(ic < ia), None) if ic != ia
+                    else (int(w[k] > ia), w.index(ia) + 1)
+                    for ic in sorted(w[:k + 1]))
+              for ia in sorted(w[:k]))
+        for k in range(1, len(w)))
+
+
+def _psi_arg(case: tuple, lx: complex, k: int, p: ParameterPoint) -> complex:
+    """Theta argument of a level-k psi factor of case (e, j): lx + e log hbar,
+    plus log mu_{k+1} - log mu_j when j is set."""
+    e, j = case
+    if j is None:
+        return lx + p.log_h if e else lx
+    return lx + e * p.log_h + p.mu(k + 1) - p.mu(j)
+
+
 def psi(I: Permutation, k: int, a: int, c: int, lx,
         p: ParameterPoint, ctx: ThetaContext,
         th: Callable[[complex], complex] | None = None) -> complex:
@@ -123,16 +146,7 @@ def psi(I: Permutation, k: int, a: int, c: int, lx,
     n = len(I)
     if not (1 <= a <= k <= n - 1 and 1 <= c <= k + 1):
         raise ValueError(f"indices out of range: k={k}, a={a}, c={c} for n={n}")
-    tab = fixed_point_tables(I)
-    ia = tab.ordered[k - 1][a - 1]
-    ic = tab.ordered[k][c - 1]
-    if ic < ia:
-        return th(p.log_h + lx)
-    if ic > ia:
-        return th(lx)
-    exp_h = 1 - p_function(I, k + 1, ia)
-    j = tab.jindex(k, a)
-    return th(lx + exp_h * p.log_h + p.mu(k + 1) - p.mu(j))
+    return th(_psi_arg(_psi_cases(I)[k - 1][a - 1][c - 1], lx, k, p))
 
 
 def _level_args(I: Permutation, t: ChernPoint, p: ParameterPoint):
@@ -155,13 +169,14 @@ def U(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext,
         th = partial(theta, ctx)
     n = len(I)
     levels = _level_args(I, t, p)
+    cases = _psi_cases(I)
     num = 1.0 + 0j
     den = 1.0 + 0j
     for k in range(1, n):
         tk, tk1 = levels[k - 1], levels[k]
-        for a in range(1, k + 1):
-            for c in range(1, k + 2):
-                num *= psi(I, k, a, c, tk1[c - 1] - tk[a - 1], p, ctx, th)
+        for ta, row in zip(tk, cases[k - 1]):
+            for tc, case in zip(tk1, row):
+                num *= th(_psi_arg(case, tc - ta, k, p))
         for a in range(1, k + 1):
             for b in range(a + 1, k + 1):
                 f = th(tk[a - 1] + p.log_h - tk[b - 1]) * th(tk[b - 1] - tk[a - 1])
@@ -219,16 +234,13 @@ def W_sigma(sigma: Permutation, I: Permutation, t: ChernPoint,
 
 
 def P(I: Permutation, log_w: tuple[complex, ...], p: ParameterPoint,
-      ctx: ThetaContext) -> complex:
+      ctx: ThetaContext, th: Callable[[complex], complex] | None = None) -> complex:
     """Diagonal theta product over pairs k < l: theta(hbar w_{I_l}/w_{I_k})
     when I_l < I_k and theta(w_{I_l}/w_{I_k}) when I_l > I_k, with argument
-    slots filled from log_w."""
-    return theta_product(I, log_w, p, partial(theta, ctx))
-
-
-def theta_product(I: Permutation, log_w: tuple[complex, ...], p: ParameterPoint,
-                  th: Callable[[complex], complex]) -> complex:
-    """P with theta(ctx, lx) read through th(lx)."""
+    slots filled from log_w and theta(ctx, x) read through th(x) when th
+    is given."""
+    if th is None:
+        th = partial(theta, ctx)
     n = len(I)
     if len(log_w) != n:
         raise ValueError("argument list size mismatch")

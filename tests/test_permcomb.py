@@ -5,8 +5,7 @@ import itertools
 import pytest
 
 from ellweights import (Permutation, all_permutations, bruhat_leq, compose,
-                        compose_values, fixed_point_tables, mirror_index,
-                        p_function)
+                        compose_values, fixed_point_tables, mirror_index)
 
 
 def words(n):
@@ -137,18 +136,14 @@ class TestFixedPointTables:
         tab = fixed_point_tables(Permutation.identity(4))
         for k in range(1, 5):
             assert tab.ordered[k - 1] == tuple(range(1, k + 1))
-            for a in range(1, k + 1):
-                assert tab.jindex(k, a) == a
 
     def test_312(self):
         tab = fixed_point_tables(Permutation((3, 1, 2)))
         assert tab.ordered == ((3,), (1, 3), (1, 2, 3))
-        assert tab.jindex(2, 2) == 1   # I_1 = 3
 
     def test_21(self):
         tab = fixed_point_tables(Permutation((2, 1)))
         assert tab.ordered[0] == (2,)
-        assert tab.jindex(1, 1) == 1
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_nesting_and_lookup(self, n):
@@ -158,21 +153,7 @@ class TestFixedPointTables:
             for k in range(1, n):
                 assert set(tab.ordered[k - 1]) <= set(tab.ordered[k])
             for k in range(1, n + 1):
-                for a in range(1, k + 1):
-                    assert I.word[tab.jindex(k, a) - 1] == tab.ordered[k - 1][a - 1]
-
-
-class TestPFunction:
-    def test_examples(self):
-        assert p_function(Permutation((1, 2, 3)), 1, 2) == 1
-        assert p_function(Permutation((3, 1, 2)), 1, 2) == 0
-        for I in words(3):
-            for j in range(1, 4):
-                assert p_function(I, j, 4) == 1
-
-    def test_index_range(self):
-        with pytest.raises(ValueError):
-            p_function(Permutation((1, 2)), 3, 1)
+                assert tab.ordered[k - 1] == tuple(sorted(I.word[:k]))
 
 
 class TestSerialization:

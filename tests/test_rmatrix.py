@@ -291,6 +291,23 @@ class TestRecursionBuilders:
             build(p, ctx, crosscheck=True)
             assert len(args) == len(set(args)) == 89
 
+    def test_seeds_read_the_public_diagonal(self, ctx, monkeypatch):
+        # every seed line of a build is one A_diagonal call through the
+        # build's theta table: 24 seeds per relation for one crosschecked
+        # n=4 R + dual pair
+        p = random_parameter_point(4, np.random.default_rng(1), ctx)
+        calls = []
+        diagonal = rmatrix.A_diagonal
+
+        def counted(*args):
+            calls.append(args)
+            return diagonal(*args)
+
+        monkeypatch.setattr(rmatrix, "A_diagonal", counted)
+        build_A_by_R_recursion(p, ctx, crosscheck=True)
+        build_A_by_dual_recursion(p, ctx, crosscheck=True)
+        assert len(calls) == 48
+
     @pytest.mark.parametrize("n, seed", [(3, 3), (4, 2)])
     def test_theta_table_leaves_the_matrices_bit_identical(self, n, seed, ctx,
                                                            monkeypatch):

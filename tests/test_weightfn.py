@@ -8,9 +8,10 @@ import pytest
 from ellweights import (ChernPoint, EvaluationError, P, ParameterPoint,
                         Permutation, PoleError, RangeError, ThetaContext, U,
                         W, W_sigma, all_permutations, build_A_direct,
-                        compose, compose_values, is_generic, psi,
-                        random_chern_point, random_parameter_point,
-                        restriction_point, theta, weight_terms, weightfn)
+                        compose, compose_values, fixed_point_tables,
+                        is_generic, psi, random_chern_point,
+                        random_parameter_point, restriction_point, theta,
+                        weight_terms, weightfn)
 
 
 def rel(a, b):
@@ -78,7 +79,6 @@ class TestPsi:
 
     def test_exactly_one_equal_branch_per_level_pair(self, ctx, rng):
         p = random_parameter_point(3, rng, ctx)
-        from ellweights import fixed_point_tables
         for I in all_permutations(3):
             tab = fixed_point_tables(I)
             for k in (1, 2):
@@ -127,6 +127,63 @@ class TestU:
             U(Permutation((3, 2, 1)), t, p, ctx)
         with pytest.raises(PoleError):
             W(Permutation((3, 2, 1)), t, p, ctx)   # propagates through the sum
+
+
+def psi_rule(I, k, a, c, lx, p, ctx):
+    """psi by its case rule written out over the ordered index sets."""
+    ordered = fixed_point_tables(I).ordered
+    ia, ic = ordered[k - 1][a - 1], ordered[k][c - 1]
+    if ic < ia:
+        return theta(ctx, p.log_h + lx)
+    if ic > ia:
+        return theta(ctx, lx)
+    exp_h = 1 - (1 if I.word[k] < ia else 0)   # 1 - p(I_{k+1} < i_a)
+    j = I.word.index(ia) + 1                   # I_j = i_a
+    return theta(ctx, lx + exp_h * p.log_h + p.mu(k + 1) - p.mu(j))
+
+
+def u_product(I, t, p, ctx):
+    """U as the explicit product of psi factors over the level-internal
+    denominator pairs, in U's order."""
+    levels = list(t.levels) + [p.log_z]
+    num = den = 1.0 + 0j
+    for k in range(1, len(I)):
+        tk, tk1 = levels[k - 1], levels[k]
+        for a in range(1, k + 1):
+            for c in range(1, k + 2):
+                num *= psi(I, k, a, c, tk1[c - 1] - tk[a - 1], p, ctx)
+        for a in range(1, k + 1):
+            for b in range(a + 1, k + 1):
+                den *= (theta(ctx, tk[a - 1] + p.log_h - tk[b - 1])
+                        * theta(ctx, tk[b - 1] - tk[a - 1]))
+    return num / den
+
+
+class TestCaseTable:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_psi_equals_the_case_rule(self, n, ctx):
+        # every slot (k, a, c) of every index reads the argument of the rule
+        rng = np.random.default_rng(n)
+        p = random_parameter_point(n, rng, ctx)
+        for I in all_permutations(n):
+            for k in range(1, n):
+                for a in range(1, k + 1):
+                    for c in range(1, k + 2):
+                        lx = complex(*rng.uniform(-1.0, 1.0, 2))
+                        want = psi_rule(I, k, a, c, lx, p, ctx)
+                        assert psi(I, k, a, c, lx, p, ctx) == want
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_U_equals_its_psi_product(self, n, ctx):
+        # at a random Chern point and at every restriction point, where
+        # most terms are exact zeros
+        rng = np.random.default_rng(n)
+        p = random_parameter_point(n, rng, ctx)
+        order = all_permutations(n)
+        points = [random_chern_point(n, rng)] + [restriction_point(J, p) for J in order]
+        for I in order:
+            for t in points:
+                assert U(I, t, p, ctx) == u_product(I, t, p, ctx)
 
 
 class TestW:
