@@ -7,9 +7,8 @@ __version__ = "0.1.0"
 from .errors import (ConsistencyError, EvaluationError, IllConditionedError,
                      PoleError, RangeError, ResamplingError, ResonanceError)
 from .qtheta import ThetaContext, theta
-from .permcomb import (FixedPointTables, Permutation, all_permutations,
-                       bruhat_leq, compose, compose_values, fixed_point_tables,
-                       mirror_index)
+from .permcomb import (Permutation, all_permutations, bruhat_leq, compose,
+                       compose_values, fixed_point_tables, mirror_index)
 from .weightfn import (ChernPoint, P, ParameterPoint, U, W, W_sigma,
                        is_generic, psi, weight_terms)
 from .restriction import (A_diagonal, A_direct, RestrictionMatrix,
@@ -25,7 +24,7 @@ __all__ = [
     "ConsistencyError", "EvaluationError", "IllConditionedError", "PoleError",
     "RangeError", "ResamplingError", "ResonanceError",
     "ThetaContext", "theta",
-    "FixedPointTables", "Permutation", "all_permutations", "bruhat_leq",
+    "Permutation", "all_permutations", "bruhat_leq",
     "compose", "compose_values", "fixed_point_tables", "mirror_index",
     "ChernPoint", "P", "ParameterPoint", "U", "W", "W_sigma", "is_generic",
     "psi", "weight_terms",

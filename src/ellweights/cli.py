@@ -67,6 +67,8 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
         if self.points < 1:
             raise ValueError("points must be >= 1")
+        if self.points != 1 and self.mode != "verify":
+            raise ValueError(f"points applies to verify only, got {self.points}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "verify" and not self.suites:
@@ -179,11 +181,9 @@ def _check_mirror(config, ctx, p, pt, rng, fields):
 
 
 def _check_interface(config, ctx, p, pt, rng, fields):
-    iface = DualityInterface(p, ctx)
-    t = random_chern_point(p.n, rng)
-    tp = random_chern_point(p.n, rng)
-    for I in all_permutations(p.n):
-        r1, r2 = interpolation_residuals(iface, I, t, tp)
+    t, tp = random_chern_point(p.n, rng), random_chern_point(p.n, rng)
+    res = interpolation_residuals(DualityInterface(p, ctx), t, tp)
+    for I, r1, r2 in zip(all_permutations(p.n), *(r.tolist() for r in res)):
         yield f"interface first I={_word(I)} pt={pt}", r1
         yield f"interface second I={_word(I)} pt={pt}", r2
 

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IllConditionedError
-from .permcomb import Permutation, all_permutations, compose, mirror_index
+from .permcomb import Permutation, all_permutations, mirror_index
 from .qtheta import ThetaContext
 from .restriction import (build_A_direct, direct_entries, relative_residual,
                           restriction_point)
@@ -54,14 +54,23 @@ def mirror_residual(p: ParameterPoint, ctx: ThetaContext) -> np.ndarray:
     return out
 
 
+def _contract(inv: np.ndarray, first: list, second: list, sgn: int) -> complex:
+    """sgn * sum_i sum_j inv[i, j] * first[j] * second[i]."""
+    total = 0.0 + 0j
+    for i, s in enumerate(second):
+        for j, f in enumerate(first):
+            total += inv[i, j] * f * s
+    return sgn * total
+
+
 @dataclass(frozen=True)
 class DualityInterface:
     """Evaluator for the two-slot interpolation function at the point p,
     whose z slots hold z, mu slots the dual equivariant parameters z' and
     log_h hbar.
 
-    Holds the inverse of the restriction matrix at p; evaluations share it
-    read-only.  The dual-side weight functions are evaluated at
+    Holds the restriction matrix at p and its inverse; evaluations share
+    both read-only.  The dual-side weight functions are evaluated at
     kappa_substitute(p): z slots z' reversed, Kahler arguments 1/z.
     """
 
@@ -69,46 +78,45 @@ class DualityInterface:
     ctx: ThetaContext
 
     @cached_property
-    def _dual_point(self) -> ParameterPoint:
-        return kappa_substitute(self.p)
-
-    @cached_property
-    def _inverse(self) -> np.ndarray:
+    def _solved(self) -> tuple[np.ndarray, np.ndarray]:
         A = build_A_direct(Permutation.identity(self.p.n), self.p, self.ctx).entries
         inv = np.linalg.inv(A)
         cond = np.linalg.norm(A, 1) * np.linalg.norm(inv, 1)
         if cond > 1.0 / self.ctx.tol:
             raise IllConditionedError(f"condition estimate {cond:.3e}")
-        return inv
+        return A, inv
+
+    def _first(self, t: ChernPoint) -> list[complex]:
+        return [W(J, t, self.p, self.ctx) for J in all_permutations(self.p.n)]
+
+    def _second(self, t_prime: ChernPoint) -> list[complex]:
+        pk = kappa_substitute(self.p)
+        return [W(mirror_index(I), t_prime, pk, self.ctx)
+                for I in all_permutations(self.p.n)]
 
     def value(self, t: ChernPoint, t_prime: ChernPoint) -> complex:
         """The interpolation double sum at Chern points (t, t')."""
-        n = self.p.n
-        order = all_permutations(n)
-        inv = self._inverse
-        w_first = [W(J, t, self.p, self.ctx) for J in order]
-        w_second = [W(mirror_index(I), t_prime, self._dual_point, self.ctx)
-                    for I in order]
-        total = 0.0 + 0j
-        for i in range(len(order)):
-            for j in range(len(order)):
-                total += inv[i, j] * w_first[j] * w_second[i]
-        return global_sign(n) * total
+        return _contract(self._solved[1], self._first(t), self._second(t_prime),
+                         global_sign(self.p.n))
 
 
-def interpolation_residuals(iface: DualityInterface, I: Permutation,
-                            t: ChernPoint, t_prime: ChernPoint) -> tuple[float, float]:
-    """Residuals of the two fixed-point interpolation identities at I with
-    the supplied generic Chern points.  The first fixes the second slot at
-    the restriction point of I^{-1} in the dual equivariant parameters, the
-    second fixes the first slot at the restriction point of I^{-1} in z."""
-    p = iface.p
-    n = p.n
-    sgn = global_sign(n)
+def interpolation_residuals(iface: DualityInterface, t: ChernPoint,
+                            t_prime: ChernPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the two fixed-point interpolation identities at every I,
+    in ``all_permutations`` order, at generic Chern points (t, t').  The
+    first fixes the second slot at I^{-1}'s restriction point in the dual
+    parameters and gives W_I(t); the second fixes the first slot at I^{-1}'s
+    restriction point in z, column I^{-1} of the held matrix, and gives
+    sgn * W_{I o sigma_0}(t') = sgn * W_{mirror_index(I^{-1})}(t')."""
+    A, inv = iface._solved
+    p, order, sgn = iface.p, all_permutations(iface.p.n), global_sign(iface.p.n)
+    first, second = iface._first(t), iface._second(t_prime)
     dual = ParameterPoint(log_z=p.log_mu, log_mu=p.log_mu, log_h=p.log_h)
-    lhs1 = iface.value(t, restriction_point(I.inverse(), dual))
-    rhs1 = W(I, t, p, iface.ctx)
-    lhs2 = iface.value(restriction_point(I.inverse(), p), t_prime)
-    comp = compose(I, Permutation.longest(n))   # word n + 1 - I_j
-    rhs2 = sgn * W(comp, t_prime, iface._dual_point, iface.ctx)
-    return relative_residual(lhs1, rhs1), relative_residual(lhs2, rhs2)
+    out = np.empty((2, len(order)))
+    for c, I in enumerate(order):
+        dual_slot = iface._second(restriction_point(I.inverse(), dual))
+        out[0, c] = relative_residual(_contract(inv, first, dual_slot, sgn), first[c])
+        c_inv = order.index(I.inverse())
+        out[1, c] = relative_residual(_contract(inv, A[:, c_inv].tolist(), second, sgn),
+                                      sgn * second[c_inv])
+    return out[0], out[1]

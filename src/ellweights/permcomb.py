@@ -135,19 +135,8 @@ def bruhat_leq(I: Permutation, J: Permutation) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FixedPointTables:
-    """Ordered index sets of a fixed point: ``ordered[k-1]`` is the
-    increasing arrangement i_1 < ... < i_k of {I_1, ..., I_k}."""
-
-    ordered: tuple[tuple[int, ...], ...]
-
-
 @lru_cache(maxsize=4096)
-def _tables_cached(word: tuple[int, ...]) -> FixedPointTables:
-    ordered = tuple(tuple(sorted(word[:k])) for k in range(1, len(word) + 1))
-    return FixedPointTables(ordered=ordered)
-
-
-def fixed_point_tables(I: Permutation) -> FixedPointTables:
-    return _tables_cached(I.word)
+def fixed_point_tables(I: Permutation) -> tuple[tuple[int, ...], ...]:
+    """Ordered index sets of a fixed point: entry k-1 is the increasing
+    arrangement i_1 < ... < i_k of {I_1, ..., I_k}."""
+    return tuple(tuple(sorted(I.word[:k])) for k in range(1, len(I) + 1))

@@ -25,10 +25,8 @@ from .weightfn import (ChernPoint, P, ParameterPoint, W_sigma, chamber_twist,
 def restriction_point(J: Permutation, p: ParameterPoint) -> ChernPoint:
     """Chern point with level k holding log z at J's ordered index sets,
     entries in increasing index order."""
-    tab = fixed_point_tables(J)
-    n = len(J)
-    return ChernPoint(tuple(
-        tuple(p.z(i) for i in tab.ordered[k]) for k in range(n - 1)))
+    return ChernPoint(tuple(tuple(p.z(i) for i in lv)
+                            for lv in fixed_point_tables(J)[:-1]))
 
 
 def relative_residual(lhs: complex, *terms: complex, scale: float = 0.0) -> float:
@@ -42,11 +40,18 @@ def relative_residual(lhs: complex, *terms: complex, scale: float = 0.0) -> floa
     return abs(diff) / (size + scale + 1e-300)
 
 
+def _naming_entry(exc: EvaluationError, I: Permutation, J: Permutation):
+    return type(exc)(f"entry ({I.word}, {J.word}): {exc}")
+
+
 def A_direct(sigma: Permutation, I: Permutation, J: Permutation,
              p: ParameterPoint, ctx: ThetaContext) -> complex:
     """Matrix entry by direct evaluation: W_sigma at the column's
-    restriction point."""
-    return W_sigma(sigma, I, restriction_point(J, p), p, ctx)
+    restriction point; an entry that fails to evaluate is named."""
+    try:
+        return W_sigma(sigma, I, restriction_point(J, p), p, ctx)
+    except EvaluationError as exc:
+        raise _naming_entry(exc, I, J) from exc
 
 
 def A_diagonal(I: Permutation, p: ParameterPoint, ctx: ThetaContext,
@@ -57,9 +62,8 @@ def A_diagonal(I: Permutation, p: ParameterPoint, ctx: ThetaContext,
     when th is given."""
     if th is None:
         th = partial(theta, ctx)
-    M = mirror_index(I)
     return (I.sign() * P(I, p.log_z, p, ctx, th)
-            * P(M, p.log_mu[::-1], p, ctx, th))
+            * P(mirror_index(I), p.log_mu[::-1], p, ctx, th))
 
 
 @lru_cache(maxsize=8)
@@ -155,7 +159,7 @@ def direct_entries(sigma: Permutation, p: ParameterPoint,
             try:
                 terms = weight_terms(K, t, q, ctx)
             except EvaluationError as exc:
-                raise type(exc)(f"entry ({I.word}, {J.word}): {exc}") from exc
+                raise _naming_entry(exc, I, J) from exc
             yield sum(terms), max(map(abs, terms))
 
 

@@ -172,9 +172,8 @@ def test_criterion_8_duality_interface(actx):
             iface = DualityInterface(p, actx)
             t = random_chern_point(n, rng)
             tp = random_chern_point(n, rng)
-            for I in all_permutations(n):
-                r1, r2 = interpolation_residuals(iface, I, t, tp)
-                worst = max(worst, r1, r2)
+            r1, r2 = interpolation_residuals(iface, t, tp)
+            worst = max(worst, r1.max(), r2.max())
     report(8, "duality interface interpolation", worst < 1e-7,
            f"max_residual={worst:.2e}")
 

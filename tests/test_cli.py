@@ -60,6 +60,10 @@ class TestRunConfig:
         for suites in ((), ("pprop", "pprop")):
             with pytest.raises(ValueError):
                 RunConfig(suites=suites)
+        # only verify samples more than one point
+        for mode in ("matrix", "weights"):
+            with pytest.raises(ValueError, match="points"):
+                RunConfig(mode=mode, points=5)
 
     def test_context(self):
         c = cfg(q=0.3)
@@ -248,6 +252,9 @@ class TestCommandLine:
         # a chamber word of the wrong length is a configuration error
         assert main(["matrix", "--n", "3", "--sigma", "2,1"]) == 2
         assert "configuration error" in capsys.readouterr().err
+        # so is a point count outside verify
+        assert main(["matrix", "--n", "2", "--points", "5"]) == 2
+        assert "configuration error" in capsys.readouterr().err
         # so are bad numbers and empty or repeated suite lists
         for flags in (["--trunc", "5"], ["--q", "0"], ["--seed", "-1"],
                       ["--tol", "inf"], ["--tol", "nan"],
@@ -313,7 +320,8 @@ class TestCommandLine:
                              log_mu=base.log_mu, log_h=base.log_h)
         monkeypatch.setattr(climod, "random_parameter_point", lambda *a, **k: bad)
         for config in (cfg(n=3, mode="matrix", suites=()),
-                       cfg(n=3, suites=("triangular",))):
+                       cfg(n=3, suites=("triangular",)),
+                       cfg(n=3, suites=("diagonal",))):
             status, report = run(config)
             assert status == 1
             assert report["pass"] is False

@@ -1,16 +1,21 @@
 """Parameter-swap identity and the duality interface."""
 
+import numpy as np
 import pytest
 
 from ellweights import (A_direct, DualityInterface, IllConditionedError,
-                        ParameterPoint, Permutation, ThetaContext,
-                        all_permutations, global_sign,
-                        interpolation_residuals, kappa_substitute,
-                        mirror_index, mirror_residual, random_chern_point,
-                        random_parameter_point, restriction_point,
-                        weight_terms)
+                        ParameterPoint, Permutation, ThetaContext, W,
+                        all_permutations, build_A_direct, compose,
+                        global_sign, interpolation_residuals,
+                        kappa_substitute, mirror_index, mirror_residual,
+                        random_chern_point, random_parameter_point,
+                        restriction_point, weight_terms)
 from ellweights import mirror
 from ellweights.restriction import relative_residual
+
+#: the interface stream of `verify --n 4 --seed 7`: its first point passes
+#: the condition gate at tol 1e-6 (at 1e-8 the gate stops many n = 4 points)
+N4_SEED = [7, 6]
 
 
 class TestKappa:
@@ -125,16 +130,75 @@ class TestInterface:
         iface = DualityInterface(p, ctx)
         t = random_chern_point(n, rng)
         tp = random_chern_point(n, rng)
-        for I in all_permutations(n):
-            r1, r2 = interpolation_residuals(iface, I, t, tp)
-            assert r1 < ctx.tol
-            assert r2 < ctx.tol
+        r1, r2 = interpolation_residuals(iface, t, tp)
+        assert r1.shape == r2.shape == (len(all_permutations(n)),)
+        assert (r1 < ctx.tol).all()
+        assert (r2 < ctx.tol).all()
 
-    def test_condition_guard(self, rng):
-        # with tol = 1 the guard 1/tol is below any realistic condition number
+    @pytest.mark.parametrize("n, tol, seed, points", [
+        (2, 1e-8, 402, 3), (3, 1e-8, 403, 3), (4, 1e-6, N4_SEED, 1)],
+        ids=["n2", "n3", "n4"])
+    def test_arrays_equal_the_per_index_oracle(self, n, tol, seed, points):
+        # each I on its own: two double sums, each over 2 n! weight
+        # functions, against W_I(t) and sgn * W_{I o sigma_0}(t')
+        ctx = ThetaContext.create(q=0.3, tol=tol)
+        rng = np.random.default_rng(seed)
+        order, sgn = all_permutations(n), global_sign(n)
+        for _ in range(points):
+            p = random_parameter_point(n, rng, ctx)
+            pk = kappa_substitute(p)
+            t, tp = random_chern_point(n, rng), random_chern_point(n, rng)
+            inv = np.linalg.inv(build_A_direct(Permutation.identity(n), p, ctx).entries)
+
+            def value(t1, t2):
+                w1 = [W(J, t1, p, ctx) for J in order]
+                w2 = [W(mirror_index(K), t2, pk, ctx) for K in order]
+                total = 0.0 + 0j
+                for i in range(len(order)):
+                    for j in range(len(order)):
+                        total += inv[i, j] * w1[j] * w2[i]
+                return sgn * total
+
+            dual = ParameterPoint(log_z=p.log_mu, log_mu=p.log_mu, log_h=p.log_h)
+            r1, r2 = interpolation_residuals(DualityInterface(p, ctx), t, tp)
+            for c, I in enumerate(order):
+                lhs1 = value(t, restriction_point(I.inverse(), dual))
+                lhs2 = value(restriction_point(I.inverse(), p), tp)
+                rhs2 = sgn * W(compose(I, Permutation.longest(n)), tp, pk, ctx)
+                assert r1[c] == relative_residual(lhs1, W(I, t, p, ctx))
+                assert r2[c] == relative_residual(lhs2, rhs2)
+
+    @pytest.mark.parametrize("n, tol, seed, per_point", [
+        (3, 1e-8, 403, 48), (4, 1e-6, N4_SEED, 624)], ids=["n3", "n4"])
+    def test_weight_function_count_per_point(self, n, tol, seed, per_point,
+                                             monkeypatch):
+        # 2 n! slot weight functions and the n! x n! dual-slot matrix of the
+        # first identity; the second identity reads the held matrix
+        ctx = ThetaContext.create(q=0.3, tol=tol)
+        rng = np.random.default_rng(seed)
+        calls = []
+        real = mirror.W
+        monkeypatch.setattr(mirror, "W", lambda *a: calls.append(a[0]) or real(*a))
+        p = random_parameter_point(n, rng, ctx)
+        iface = DualityInterface(p, ctx)
+        t = random_chern_point(n, rng)
+        interpolation_residuals(iface, t, random_chern_point(n, rng))
+        assert len(calls) == per_point
+        calls.clear()
+        iface.value(t, t)
+        assert len(calls) == 2 * len(all_permutations(n))
+
+    def test_condition_guard(self, rng, monkeypatch):
+        # with tol = 1 the guard 1/tol is below any realistic condition
+        # number, and it trips before any weight function is evaluated
         strict = ThetaContext.create(q=0.3, tol=1.0)
+        calls = []
+        real = mirror.W
+        monkeypatch.setattr(mirror, "W", lambda *a: calls.append(a[0]) or real(*a))
         p = random_parameter_point(2, rng, strict)
-        iface = DualityInterface(p, strict)
         t = random_chern_point(2, rng)
         with pytest.raises(IllConditionedError):
-            iface.value(t, t)
+            DualityInterface(p, strict).value(t, t)
+        with pytest.raises(IllConditionedError):
+            interpolation_residuals(DualityInterface(p, strict), t, t)
+        assert calls == []

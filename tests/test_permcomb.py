@@ -135,25 +135,23 @@ class TestFixedPointTables:
     def test_identity(self):
         tab = fixed_point_tables(Permutation.identity(4))
         for k in range(1, 5):
-            assert tab.ordered[k - 1] == tuple(range(1, k + 1))
+            assert tab[k - 1] == tuple(range(1, k + 1))
 
     def test_312(self):
-        tab = fixed_point_tables(Permutation((3, 1, 2)))
-        assert tab.ordered == ((3,), (1, 3), (1, 2, 3))
+        assert fixed_point_tables(Permutation((3, 1, 2))) == ((3,), (1, 3), (1, 2, 3))
 
     def test_21(self):
-        tab = fixed_point_tables(Permutation((2, 1)))
-        assert tab.ordered[0] == (2,)
+        assert fixed_point_tables(Permutation((2, 1)))[0] == (2,)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_nesting_and_lookup(self, n):
         for I in words(n):
             tab = fixed_point_tables(I)
-            assert tab.ordered[n - 1] == tuple(range(1, n + 1))
+            assert tab[n - 1] == tuple(range(1, n + 1))
             for k in range(1, n):
-                assert set(tab.ordered[k - 1]) <= set(tab.ordered[k])
+                assert set(tab[k - 1]) <= set(tab[k])
             for k in range(1, n + 1):
-                assert tab.ordered[k - 1] == tuple(sorted(I.word[:k]))
+                assert tab[k - 1] == tuple(sorted(I.word[:k]))
 
 
 class TestSerialization:

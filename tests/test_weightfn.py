@@ -84,7 +84,7 @@ class TestPsi:
             for k in (1, 2):
                 for a in range(1, k + 1):
                     hits = sum(1 for c in range(1, k + 2)
-                               if tab.ordered[k][c - 1] == tab.ordered[k - 1][a - 1])
+                               if tab[k][c - 1] == tab[k - 1][a - 1])
                     assert hits == 1
 
     def test_index_range(self, ctx, rng):
@@ -131,7 +131,7 @@ class TestU:
 
 def psi_rule(I, k, a, c, lx, p, ctx):
     """psi by its case rule written out over the ordered index sets."""
-    ordered = fixed_point_tables(I).ordered
+    ordered = fixed_point_tables(I)
     ia, ic = ordered[k - 1][a - 1], ordered[k][c - 1]
     if ic < ia:
         return theta(ctx, p.log_h + lx)
