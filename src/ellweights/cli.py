@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -79,6 +80,8 @@ class RunConfig:
             if self.suites.count(s) > 1:
                 raise ValueError(f"suite {s!r} listed twice")
         if self.sigma is not None:
+            if self.mode != "matrix":
+                raise ValueError(f"sigma applies to matrix only, got {self.sigma}")
             Permutation(self.sigma)  # validates
             if len(self.sigma) != self.n:
                 raise ValueError(
@@ -115,10 +118,11 @@ def _word(I: Permutation) -> str:
 # verification suites: one sampling loop, one check function per suite
 # ---------------------------------------------------------------------------
 #
-# A check function takes (config, ctx, p, pt, rng, fields) for the pt-th
-# point p of its suite and yields (id, residual) pairs; it may add extra
-# report fields.  Library functions are called through their module-global
-# names so that rebinding them (as a tracer does) reaches every call.
+# A check function takes (ctx, p, rng, fields) for one point p of its
+# suite and yields (id, residual) pairs; run_suite appends the point's
+# index to each id.  It may add extra report fields.  Library functions
+# are called through their module-global names so that rebinding them (as
+# a tracer does) reaches every call.
 
 def _check_theta(ctx: ThetaContext, rng: np.random.Generator):
     """Oddness and quasi-periodicity over 1000 random log-arguments."""
@@ -137,7 +141,7 @@ def _check_theta(ctx: ThetaContext, rng: np.random.Generator):
     yield "quasi-periodicity x1000", worst_qp
 
 
-def _check_pprop(config, ctx, p, pt, rng, fields):
+def _check_pprop(ctx, p, rng, fields):
     """Inversion-reflection symmetry of the diagonal product."""
     s0 = Permutation.longest(p.n)
     args_inv_rev = tuple(-v for v in p.log_z[::-1])
@@ -145,47 +149,46 @@ def _check_pprop(config, ctx, p, pt, rng, fields):
         K = compose(compose(s0, I), s0)   # word n+1-I_{n+1-j}
         lhs = P(K, args_inv_rev, p, ctx)
         rhs = P(I, p.log_z, p, ctx)
-        yield f"pprop I={_word(I)} pt={pt}", relative_residual(lhs, rhs)
+        yield f"pprop I={_word(I)}", relative_residual(lhs, rhs)
 
 
-def _check_triangular(config, ctx, p, pt, rng, fields):
-    sigma = Permutation(config.sigma) if config.sigma else Permutation.identity(p.n)
-    mat = build_A_direct(sigma, p, ctx)
+def _check_triangular(ctx, p, rng, fields):
+    mat = build_A_direct(Permutation.identity(p.n), p, ctx)
     fields.setdefault("observed_zero_counts", []).append(len(mat.zero_pairs(ctx.tol)))
-    yield f"triangularity pt={pt}", mat.triangularity_violation()
+    yield "triangularity", mat.triangularity_violation()
 
 
-def _check_diagonal(config, ctx, p, pt, rng, fields):
+def _check_diagonal(ctx, p, rng, fields):
     ident = Permutation.identity(p.n)
     for I in all_permutations(p.n):
         closed = A_diagonal(I, p, ctx)
-        yield (f"diagonal I={_word(I)} pt={pt}",
+        yield (f"diagonal I={_word(I)}",
                abs(A_direct(ident, I, I, p, ctx) - closed) / (abs(closed) + 1e-300))
 
 
-def _check_rmatrel(config, ctx, p, pt, rng, fields):
+def _check_rmatrel(ctx, p, rng, fields):
     res = exchange_residual(build_A_direct(Permutation.identity(p.n), p, ctx), ctx)
-    yield f"exchange relation x{res.size} pt={pt}", float(res.max(initial=0.0))
+    yield f"exchange relation x{res.size}", float(res.max(initial=0.0))
 
 
-def _check_dualrel(config, ctx, p, pt, rng, fields):
+def _check_dualrel(ctx, p, rng, fields):
     res = dual_residual(build_A_direct(Permutation.identity(p.n), p, ctx), ctx)
-    yield f"dual relation x{res.size} pt={pt}", float(res.max(initial=0.0))
+    yield f"dual relation x{res.size}", float(res.max(initial=0.0))
 
 
-def _check_mirror(config, ctx, p, pt, rng, fields):
+def _check_mirror(ctx, p, rng, fields):
     perms = all_permutations(p.n)
     for I, row in zip(perms, mirror_residual(p, ctx).tolist()):
         for J, res in zip(perms, row):
-            yield f"mirror I={_word(I)} J={_word(J)} pt={pt}", res
+            yield f"mirror I={_word(I)} J={_word(J)}", res
 
 
-def _check_interface(config, ctx, p, pt, rng, fields):
+def _check_interface(ctx, p, rng, fields):
     t, tp = random_chern_point(p.n, rng), random_chern_point(p.n, rng)
     res = interpolation_residuals(DualityInterface(p, ctx), t, tp)
     for I, r1, r2 in zip(all_permutations(p.n), *(r.tolist() for r in res)):
-        yield f"interface first I={_word(I)} pt={pt}", r1
-        yield f"interface second I={_word(I)} pt={pt}", r2
+        yield f"interface first I={_word(I)}", r1
+        yield f"interface second I={_word(I)}", r2
 
 
 _CHECKS = {
@@ -212,7 +215,8 @@ def run_suite(name: str, config: RunConfig, ctx: ThetaContext) -> dict:
         for pt in range(config.points):
             p = random_parameter_point(config.n, rng, ctx)
             points.append(p.to_json())
-            pairs.extend(_CHECKS[name](config, ctx, p, pt, rng, fields))
+            pairs.extend((f"{cid} pt={pt}", res)
+                         for cid, res in _CHECKS[name](ctx, p, rng, fields))
         fields["points"] = points
     checks = [{"id": cid, "residual": res, "pass": bool(res < ctx.tol)}
               for cid, res in pairs]
@@ -358,6 +362,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
+        for path in (args.out, getattr(args, "csv", None)):
+            if path and not Path(path).parent.is_dir():
+                raise ValueError(f"no directory to write {path} into")
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

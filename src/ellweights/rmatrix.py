@@ -25,7 +25,7 @@ triangularity plus the closed-form diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -209,10 +209,12 @@ class _TwoTermRecursion:
     and c2 = r2s r1c / (1 - r2c r2s).  Unitarity of Felder's R-matrix
     (arXiv:hep-th/9412207) gives 1 - r2c r2s = r1c diag(b, a, -x), and
     theta is odd, so ``_update_pair`` writes both as theta ratios with no
-    difference left to cancel.  ``coeffs`` keeps each key's pair once.
-    Every theta the build reads, in the coefficients and the seed
-    diagonals, goes through ``thetas``, kept per distinct log-argument for
-    as long as the build.
+    difference left to cancel.  ``_pair`` caches each key's pair, and
+    every theta the build reads, in the coefficients and the seed
+    diagonals, goes through ``_theta``, cached per distinct log-argument.
+    Both caches live as long as the build and store no call that raised.
+    ``lines`` stays a plain dict: a cached method would hold the build in a
+    reference cycle.
     """
 
     def __init__(self, rel: _Relation, p: ParameterPoint, ctx: ThetaContext):
@@ -220,13 +222,9 @@ class _TwoTermRecursion:
         self.frame = rel.frame(p)
         self.order = all_permutations(p.n)
         self.index, self.moved = _tables(rel, p.n)
-        self.lines, self.coeffs, self.thetas = {}, {}, {}
-
-    def _theta(self, lx: complex) -> complex:
-        value = self.thetas.get(lx)
-        if value is None:
-            value = self.thetas[lx] = theta(self.ctx, lx)
-        return value
+        self.lines = {}
+        self._theta = cache(partial(theta, ctx))
+        self._pair = cache(partial(_update_pair, self.frame, self._theta))
 
     def line(self, X: Permutation, slots: Permutation,
              k_choice: int | None = None) -> list[complex]:
@@ -242,13 +240,10 @@ class _TwoTermRecursion:
         else:
             k = k_choice if k_choice is not None else steps[0]
             anchor = rel.move(X, k)
-            key = rel.key(anchor, k, slots)
-            if key not in self.coeffs:
-                try:
-                    self.coeffs[key] = _update_pair(self.frame, self._theta, key)
-                except PoleError as exc:
-                    raise ResonanceError(f"resonant coefficient at {X.word}: {exc}")
-            c1, c2 = self.coeffs[key]
+            try:
+                c1, c2 = self._pair(rel.key(anchor, k, slots))
+            except PoleError as exc:
+                raise ResonanceError(f"resonant coefficient at {X.word}: {exc}")
             sw = self.line(anchor, slots.pos_swap(k))
             sl = self.line(anchor, slots)
             line = [c1 * sw[m] + c2 * v for m, v in zip(self.moved[k], sl)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Callable
 
 from .errors import PoleError
@@ -135,18 +135,14 @@ def _psi_arg(case: tuple, lx: complex, k: int, p: ParameterPoint) -> complex:
 
 
 def psi(I: Permutation, k: int, a: int, c: int, lx,
-        p: ParameterPoint, ctx: ThetaContext,
-        th: Callable[[complex], complex] | None = None) -> complex:
+        p: ParameterPoint, ctx: ThetaContext) -> complex:
     """Case-analysis theta factor comparing the c-th ordered index at level
     k+1 against the a-th ordered index at level k; lx is the log of the
-    Chern-root ratio it multiplies.  theta(ctx, x) is read through th(x)
-    when th is given."""
-    if th is None:
-        th = partial(theta, ctx)
+    Chern-root ratio it multiplies."""
     n = len(I)
     if not (1 <= a <= k <= n - 1 and 1 <= c <= k + 1):
         raise ValueError(f"indices out of range: k={k}, a={a}, c={c} for n={n}")
-    return th(_psi_arg(_psi_cases(I)[k - 1][a - 1][c - 1], lx, k, p))
+    return theta(ctx, _psi_arg(_psi_cases(I)[k - 1][a - 1][c - 1], lx, k, p))
 
 
 def _level_args(I: Permutation, t: ChernPoint, p: ParameterPoint):
@@ -191,18 +187,11 @@ def weight_terms(I: Permutation, t: ChernPoint, p: ParameterPoint,
                  ctx: ThetaContext) -> list[complex]:
     """All symmetrization terms of W_I in a fixed deterministic order.
 
-    The terms share one table of theta values keyed on the exact
+    The terms share one cache of theta values keyed on the exact
     log-argument, so each distinct theta of the call is evaluated once; the
-    table lives for this call only, and a theta that raises is not stored.
+    cache lives for this call only, and a theta that raises is not stored.
     """
-    thetas: dict[complex, complex] = {}
-
-    def th(lx: complex) -> complex:
-        value = thetas.get(lx)
-        if value is None:
-            value = thetas[lx] = theta(ctx, lx)
-        return value
-
+    th = cache(partial(theta, ctx))
     n = len(I)
     terms = []
     for perms in itertools.product(

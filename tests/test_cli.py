@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ellweights
-from ellweights import ParameterPoint, random_parameter_point
+from ellweights import ParameterPoint, cli, random_parameter_point
 from ellweights.cli import (SUITE_NAMES, RunConfig, build_parser,
                             config_from_args, main, run)
 from ellweights.errors import ResamplingError
@@ -64,6 +64,11 @@ class TestRunConfig:
         for mode in ("matrix", "weights"):
             with pytest.raises(ValueError, match="points"):
                 RunConfig(mode=mode, points=5)
+        # only matrix mode builds a chamber: the suites read the identity
+        # chamber, whose Bruhat order the triangularity check assumes
+        for mode in ("verify", "weights"):
+            with pytest.raises(ValueError, match="sigma"):
+                RunConfig(n=3, mode=mode, sigma=(2, 1, 3), suites=("triangular",))
 
     def test_context(self):
         c = cfg(q=0.3)
@@ -244,7 +249,7 @@ class TestCommandLine:
         args = build_parser().parse_args(["matrix", "--sigma", "21"])
         assert args.sigma == (2, 1)
 
-    def test_main_exit_codes(self, capsys):
+    def test_main_exit_codes(self, capsys, tmp_path, monkeypatch):
         assert main(["verify", "--n", "2", "--suites", "mirror"]) == 0
         out = capsys.readouterr().out
         report = json.loads(out)
@@ -263,6 +268,19 @@ class TestCommandLine:
             captured = capsys.readouterr()
             assert captured.err.startswith("configuration error:"), flags
             assert captured.out == "", flags
+        # so is an output file in a missing directory, found before any
+        # evaluation
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("evaluated"))
+        missing = tmp_path / "missing"
+        for argv in (["verify", "--n", "2", "--suites", "pprop",
+                      "--out", str(missing / "r.json")],
+                     ["matrix", "--n", "2", "--csv", str(missing / "x.csv")]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == (f"configuration error: no directory to "
+                                    f"write {argv[-1]} into\n"), argv
+            assert captured.out == "", argv
+        assert not missing.exists()
 
     def test_main_config_error(self, capsys):
         assert main(["verify", "--n", "6"]) == 2

@@ -21,9 +21,9 @@ GOLDEN_EXCH = 0.31274796386984577 - 0.0296967380816218j
 
 
 def _untabled(monkeypatch):
-    # every theta lookup of a recursion build misses its per-build table
-    monkeypatch.setattr(rmatrix._TwoTermRecursion, "_theta",
-                        lambda rec, lx: rmatrix.theta(rec.ctx, lx))
+    # a recursion build caches neither its thetas nor its update pairs:
+    # every lookup of either per-build cache misses
+    monkeypatch.setattr(rmatrix, "cache", lambda f: f)
 
 
 @pytest.fixture()
@@ -293,7 +293,7 @@ class TestRecursionBuilders:
 
     def test_seeds_read_the_public_diagonal(self, ctx, monkeypatch):
         # every seed line of a build is one A_diagonal call through the
-        # build's theta table: 24 seeds per relation for one crosschecked
+        # build's theta cache: 24 seeds per relation for one crosschecked
         # n=4 R + dual pair
         p = random_parameter_point(4, np.random.default_rng(1), ctx)
         calls = []
@@ -359,24 +359,29 @@ class TestRecursionBuilders:
         # dyadic logs with mu_2/mu_1 = z_1/z_2 = 1/hbar exactly: a seed
         # diagonal stores theta(hbar mu_2/mu_1) = theta(1) = 0, and the first
         # coefficient, with m = mu_1/mu_2 = hbar, reads its vanishing
-        # theta(hbar - m) from the table
+        # theta(hbar - m) from the cache
         h = 0.25 + 0.5j
         dyadic = ParameterPoint(log_z=(0.125 + 0.375j, 0.375 + 0.875j, -0.625 + 0.25j),
                                 log_mu=(0.5 - 0.25j, 0.25 - 0.75j, -0.375 + 1.125j),
                                 log_h=h)
         zeros = {"computed": 0, "read": 0}
-        plain, lookup = rmatrix.theta, rmatrix._TwoTermRecursion._theta
+        plain, cache = rmatrix.theta, rmatrix.cache
 
         def counted(c, lx):
             zeros["computed"] += lx == 0
             return plain(c, lx)
 
-        def read(rec, lx):
-            zeros["read"] += lx == 0
-            return lookup(rec, lx)
+        def counting_cache(f):
+            # reads of either per-build cache; a pair key is never 0
+            cached = cache(f)
+
+            def read(arg):
+                zeros["read"] += arg == 0
+                return cached(arg)
+            return read
 
         monkeypatch.setattr(rmatrix, "theta", counted)
-        monkeypatch.setattr(rmatrix._TwoTermRecursion, "_theta", read)
+        monkeypatch.setattr(rmatrix, "cache", counting_cache)
         with pytest.raises(ResonanceError,
                            match=r"resonant coefficient at \(2, 1, 3\)") as served:
             build_A_by_R_recursion(dyadic, ctx)

@@ -20,7 +20,7 @@ def rel(a, b):
 
 def _untabled(monkeypatch):
     # every term of a weight_terms call evaluates its own thetas: each
-    # lookup of the per-call table misses
+    # lookup of the per-call cache misses
     plain = weightfn.U
     monkeypatch.setattr(weightfn, "U",
                         lambda I, t, p, ctx, th=None: plain(I, t, p, ctx))
@@ -224,7 +224,7 @@ class TestThetaTable:
     @pytest.mark.parametrize("q", [0.3, 0.5j])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_terms_and_matrices_bit_identical(self, n, q, monkeypatch):
-        # the per-call table changes no bit of any term or entry, the sign
+        # the per-call cache changes no bit of any term or entry, the sign
         # of zero included (+0j and -0j keys compare equal)
         ctx = ThetaContext.create(q=q)
         rng = np.random.default_rng(n)
