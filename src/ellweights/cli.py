@@ -363,6 +363,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         for path in (args.out, getattr(args, "csv", None)):
+            if path and Path(path).is_dir():
+                raise ValueError(f"cannot write {path}: it is a directory")
             if path and not Path(path).parent.is_dir():
                 raise ValueError(f"no directory to write {path} into")
     except ValueError as exc:

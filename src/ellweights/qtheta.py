@@ -85,13 +85,30 @@ def _q_powers(log_q: complex, trunc: int) -> np.ndarray:
     return np.exp(log_q * np.arange(trunc))
 
 
-def theta(ctx: ThetaContext, lx) -> complex:
-    """Skew Jacobi theta function of x = exp(lx)."""
+def _checked(lx) -> complex:
     w = complex(lx)
     if abs(w.real) > LOG_RANGE:
         raise RangeError(f"|Re log x| = {abs(w.real):.3g} exceeds {LOG_RANGE}")
+    return w
+
+
+def theta(ctx: ThetaContext, lx) -> complex:
+    """Skew Jacobi theta function of x = exp(lx)."""
+    w = _checked(lx)
     qs = _q_powers(ctx.log_q, ctx.trunc)
     xp = cmath.exp(ctx.log_q + w)
     xm = cmath.exp(ctx.log_q - w)
     front = cmath.exp(w / 2) - cmath.exp(-w / 2)
     return front * complex(np.prod((1.0 - qs * xp) * (1.0 - qs * xm)))
+
+
+def thetas(ctx: ThetaContext, args) -> list[complex]:
+    """[theta(ctx, lx) for lx in args], bit for bit, with the products of
+    all arguments taken in one numpy pass over an (args x trunc) array."""
+    ws = [_checked(lx) for lx in args]
+    qs = _q_powers(ctx.log_q, ctx.trunc)
+    xp = np.array([cmath.exp(ctx.log_q + w) for w in ws], dtype=complex)
+    xm = np.array([cmath.exp(ctx.log_q - w) for w in ws], dtype=complex)
+    prods = np.prod((1.0 - qs * xp[:, None]) * (1.0 - qs * xm[:, None]), axis=1)
+    return [(cmath.exp(w / 2) - cmath.exp(-w / 2)) * v
+            for w, v in zip(ws, prods.tolist())]

@@ -18,8 +18,8 @@ from .errors import EvaluationError
 from .permcomb import (Permutation, all_permutations, bruhat_leq,
                        fixed_point_tables, mirror_index)
 from .qtheta import ThetaContext, theta
-from .weightfn import (ChernPoint, P, ParameterPoint, W_sigma, chamber_twist,
-                       weight_terms)
+from .weightfn import (ChernPoint, P, P_args, ParameterPoint, W_sigma,
+                       chamber_twist, weight_terms)
 
 
 def restriction_point(J: Permutation, p: ParameterPoint) -> ChernPoint:
@@ -52,6 +52,11 @@ def A_direct(sigma: Permutation, I: Permutation, J: Permutation,
         return W_sigma(sigma, I, restriction_point(J, p), p, ctx)
     except EvaluationError as exc:
         raise _naming_entry(exc, I, J) from exc
+
+
+def diagonal_args(I: Permutation, p: ParameterPoint) -> list[complex]:
+    """Theta arguments of A_diagonal(I, p, ...), in the order it reads them."""
+    return P_args(I, p.log_z, p) + P_args(mirror_index(I), p.log_mu[::-1], p)
 
 
 def A_diagonal(I: Permutation, p: ParameterPoint, ctx: ThetaContext,

@@ -25,7 +25,7 @@ triangularity plus the closed-form diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -33,9 +33,9 @@ import numpy as np
 from .errors import ConsistencyError, PoleError, ResonanceError
 from .mirror import kappa_substitute
 from .permcomb import Permutation, all_permutations
-from .qtheta import POLE_TOL, ThetaContext, theta
+from .qtheta import POLE_TOL, ThetaContext, theta, thetas
 from .restriction import (A_diagonal, RestrictionMatrix, build_A_direct,
-                          relative_residual)
+                          diagonal_args, relative_residual)
 from .weightfn import ParameterPoint
 
 
@@ -96,16 +96,6 @@ def _felder_pair(q: ParameterPoint, ctx: ThetaContext,
     a, b, i, j = key
     x = q.z(i) - q.z(j)
     return felder_R("diag", a, b, x, q, ctx), felder_R("exchange", b, a, x, q, ctx)
-
-
-def _update_pair(q: ParameterPoint, th: Callable[[complex], complex],
-                 key: tuple[int, int, int, int]) -> tuple[complex, complex]:
-    a, b, i, j = key
-    x, m, h = q.z(i) - q.z(j), q.mu(a) - q.mu(b), q.log_h
-    tx, thm = th(x), th(h - m)
-    if abs(tx) < POLE_TOL or abs(thm) < POLE_TOL:
-        raise PoleError("theta(x) or theta(hbar - m) vanished")
-    return -th(x + h) * th(m) / (tx * thm), th(x + m) * th(h) / (tx * thm)
 
 
 @dataclass(frozen=True)
@@ -194,88 +184,175 @@ def dual_residual(A: RestrictionMatrix, ctx: ThetaContext) -> np.ndarray:
 # recursion driver
 # ---------------------------------------------------------------------------
 
-class _TwoTermRecursion:
-    """Memoized two-term update of one relation at the point p, one line at
-    a time.
+@dataclass(frozen=True)
+class _Schedule:
+    """The memoized two-term recursion of one relation at one n, walked once
+    without a point and recorded in integer line ids.
 
-    ``line(X, slots)`` lists the entries with grown index X at
-    ``rel.point(p, slots)``, one for each other index Y in
-    ``all_permutations(n)`` order.  At the seed, triangularity plus the
-    closed-form diagonal fix the line.  Any other X comes from its anchor
-    move(X, k) for a step k: the relation at ``slots`` (pair r1c, r2c) and
-    at its k-th position swap (r1s, r2s; x -> -x) solve to
-    line[Y] = c1 sw[moved[k][Y]] + c2 sl[Y], with sw, sl the anchor's lines
-    there, moved[k][Y] the index of move(Y, k), c1 = r1s / (1 - r2c r2s)
-    and c2 = r2s r1c / (1 - r2c r2s).  Unitarity of Felder's R-matrix
-    (arXiv:hep-th/9412207) gives 1 - r2c r2s = r1c diag(b, a, -x), and
-    theta is odd, so ``_update_pair`` writes both as theta ratios with no
-    difference left to cancel.  ``_pair`` caches each key's pair, and
-    every theta the build reads, in the coefficients and the seed
-    diagonals, goes through ``_theta``, cached per distinct log-argument.
-    Both caches live as long as the build and store no call that raised.
-    ``lines`` stays a plain dict: a cached method would hold the build in a
-    reference cycle.
+    Line ``lid`` lists the entries with one grown index X at one slot
+    permutation, one for each other index Y in ``all_permutations(n)``
+    order.  At the seed, triangularity plus the closed-form diagonal fix the
+    line.  Any other X comes from its anchor move(X, k) for a step k: the
+    relation at ``slots`` (pair r1c, r2c) and at its k-th position swap
+    (r1s, r2s; x -> -x) solve to line[Y] = c1 sw[moved[k][Y]] + c2 sl[Y],
+    with sw, sl the anchor's lines there, moved[k][Y] the index of
+    move(Y, k), c1 = r1s / (1 - r2c r2s) and c2 = r2s r1c / (1 - r2c r2s).
+    Unitarity of Felder's R-matrix (arXiv:hep-th/9412207) gives
+    1 - r2c r2s = r1c diag(b, a, -x), and theta is odd, so ``_update_pair``
+    writes both as theta ratios with no difference left to cancel.
+
+    ``reads`` lists what a build evaluates at its point, in the order the
+    depth-first walk first asks for it: (X, slots, None) is the diagonal of
+    the seed X at rel.point(p, slots), (X, slots, key) the update pair of
+    ``key``, first asked for by the grown index X.  ``ops[lid]`` makes line
+    lid, in walk order: (r, pos) is a seed line, zero but for reads[r] at
+    pos; (r, sw, sl, k) is an update with the pair reads[r].  ``drops[lid]``
+    lists the lines whose last reader is line lid, main lines excepted.
+    ``main`` holds each grown index's line at the identity slots and
+    ``checks`` the (x, k, lid) of each line grown through an alternative
+    step, in crosscheck order.  The main walk comes first, so a build
+    without crosscheck runs the first ``main_reads`` reads and the first
+    ``main_ops`` ops.
     """
 
-    def __init__(self, rel: _Relation, p: ParameterPoint, ctx: ThetaContext):
-        self.rel, self.p, self.ctx = rel, p, ctx
-        self.frame = rel.frame(p)
-        self.order = all_permutations(p.n)
-        self.index, self.moved = _tables(rel, p.n)
-        self.lines = {}
-        self._theta = cache(partial(theta, ctx))
-        self._pair = cache(partial(_update_pair, self.frame, self._theta))
+    reads: tuple[tuple[Permutation, Permutation, tuple | None], ...]
+    ops: tuple[tuple[int, ...], ...]
+    drops: tuple[tuple[int, ...], ...]
+    main: tuple[int, ...]
+    checks: tuple[tuple[int, int, int], ...]
+    main_reads: int
+    main_ops: int
 
-    def line(self, X: Permutation, slots: Permutation,
-             k_choice: int | None = None) -> list[complex]:
+
+@cache
+def _schedule(rel: _Relation, n: int) -> _Schedule:
+    order = all_permutations(n)
+    index, _ = _tables(rel, n)
+    ids, reads, pairs, ops = {}, [], {}, []
+
+    def line(X: Permutation, slots: Permutation, k_choice: int | None = None) -> int:
         state = (X.word, slots.word, k_choice)
-        if state in self.lines:
-            return self.lines[state]
-        rel = self.rel
+        if state in ids:
+            return ids[state]
         steps = rel.steps(X)
         if not steps:
-            line = [0.0 + 0j] * len(self.order)
-            line[self.index[X.word]] = A_diagonal(
-                X, rel.point(self.p, slots), self.ctx, self._theta)
+            reads.append((X, slots, None))
+            op = (len(reads) - 1, index[X.word])
         else:
             k = k_choice if k_choice is not None else steps[0]
             anchor = rel.move(X, k)
-            try:
-                c1, c2 = self._pair(rel.key(anchor, k, slots))
-            except PoleError as exc:
-                raise ResonanceError(f"resonant coefficient at {X.word}: {exc}")
-            sw = self.line(anchor, slots.pos_swap(k))
-            sl = self.line(anchor, slots)
-            line = [c1 * sw[m] + c2 * v for m, v in zip(self.moved[k], sl)]
-        self.lines[state] = line
-        return line
+            key = rel.key(anchor, k, slots)
+            if key not in pairs:
+                pairs[key] = len(reads)
+                reads.append((X, slots, key))
+            op = (pairs[key], line(anchor, slots.pos_swap(k)), line(anchor, slots), k)
+        ids[state] = len(ops)
+        ops.append(op)
+        return ids[state]
+
+    ident = Permutation.identity(n)
+    main = tuple(line(X, ident) for X in order)
+    main_reads, main_ops = len(reads), len(ops)
+    checks = tuple((x, k, line(X, ident, k)) for x, X in enumerate(order)
+                   for k in rel.steps(X)[1:])
+    last = {src: lid for lid, op in enumerate(ops) if len(op) == 4 for src in op[1:3]}
+    kept = set(main)
+    drops = [[] for _ in ops]
+    for src, lid in last.items():
+        if src not in kept:
+            drops[lid].append(src)
+    return _Schedule(tuple(reads), tuple(ops), tuple(map(tuple, drops)), main,
+                     checks, main_reads, main_ops)
+
+
+def _update_args(q: ParameterPoint, key: tuple[int, int, int, int]) -> tuple:
+    a, b, i, j = key
+    x, m, h = q.z(i) - q.z(j), q.mu(a) - q.mu(b), q.log_h
+    return x, h - m, x + h, m, x + m, h
+
+
+def _update_pair(q: ParameterPoint, th: Callable[[complex], complex],
+                 key: tuple[int, int, int, int]) -> tuple[complex, complex]:
+    x, hm, xh, m, xm, h = _update_args(q, key)
+    tx, thm = th(x), th(hm)
+    if abs(tx) < POLE_TOL or abs(thm) < POLE_TOL:
+        raise PoleError("theta(x) or theta(hbar - m) vanished")
+    return -th(xh) * th(m) / (tx * thm), th(xm) * th(h) / (tx * thm)
+
+
+def _evaluate(rel: _Relation, p: ParameterPoint, ctx: ThetaContext,
+              reads: tuple) -> list:
+    """The value of each read at p, from one ``thetas`` call over every
+    distinct argument the reads take, in the order they first take it."""
+    frame = rel.frame(p)
+    points = [rel.point(p, slots) if key is None else frame
+              for _, slots, key in reads]
+    args = [lx for (X, _, key), q in zip(reads, points)
+            for lx in (diagonal_args(X, q) if key is None else _update_args(q, key))]
+    distinct = list(dict.fromkeys(args))
+    th = dict(zip(distinct, thetas(ctx, distinct))).__getitem__
+    values = []
+    for (X, _, key), q in zip(reads, points):
+        if key is None:
+            values.append(A_diagonal(X, q, ctx, th))
+            continue
+        try:
+            values.append(_update_pair(q, th, key))
+        except PoleError as exc:
+            raise ResonanceError(f"resonant coefficient at {X.word}: {exc}")
+    return values
 
 
 def _assemble(rel: _Relation, p: ParameterPoint, ctx: ThetaContext,
               provenance: str, crosscheck: bool) -> RestrictionMatrix:
-    """Matrix rebuilt by the recursion of ``rel``.  The crosscheck rebuilds
-    every grown index through each alternative step and requires
+    """Matrix rebuilt by the recursion of ``rel``: the ops of its schedule
+    run as one flat loop over the values of its reads at p.  The crosscheck
+    rebuilds every grown index through each alternative step and requires
     agreement."""
-    rec = _TwoTermRecursion(rel, p, ctx)
-    order = rec.order
-    ident = Permutation.identity(p.n)
-    lines = [rec.line(X, ident) for X in order]
-    entries = np.array(lines, dtype=complex)
+    s = _schedule(rel, p.n)
+    values = _evaluate(rel, p, ctx, s.reads if crosscheck else s.reads[:s.main_reads])
+    _, moved = _tables(rel, p.n)
+    order = all_permutations(p.n)
+    size = len(order)
+    lines = [None] * len(s.ops)
+
+    def grow(lo: int, hi: int) -> None:
+        for lid in range(lo, hi):
+            op = s.ops[lid]
+            if len(op) == 2:
+                line = [0.0 + 0j] * size
+                line[op[1]] = values[op[0]]
+            else:
+                r, sw, sl, k = op
+                c1, c2 = values[r]
+                a = lines[sw]
+                line = [c1 * a[m] + c2 * v for m, v in zip(moved[k], lines[sl])]
+            lines[lid] = line
+            for d in s.drops[lid]:
+                lines[d] = None
+
+    grow(0, s.main_ops)
+    main = [lines[lid] for lid in s.main]
+    entries = np.array(main, dtype=complex)
     if rel.transpose:
         entries = entries.T.copy()
+    ident = Permutation.identity(p.n)
     matrix = RestrictionMatrix(n=p.n, sigma=ident, order=order, entries=entries,
                                provenance=provenance, point=p)
     if crosscheck:
         scale = 1.0 + matrix.max_abs()
-        for X, main in zip(order, lines):
-            for k in rel.steps(X)[1:]:
-                for Y, v, w in zip(order, rec.line(X, ident, k), main):
-                    delta = abs(v - w) / scale
-                    if delta > ctx.tol:
-                        I, J = (Y, X) if rel.transpose else (X, Y)
-                        raise ConsistencyError(
-                            f"step k={k} disagrees at (row, column) = "
-                            f"({I.word}, {J.word}): |delta|/scale = {delta:.3e}")
+        done = s.main_ops
+        for x, k, lid in s.checks:
+            grow(done, lid + 1)
+            done = lid + 1
+            for Y, v, w in zip(order, lines[lid], main[x]):
+                delta = abs(v - w) / scale
+                if delta > ctx.tol:
+                    I, J = (Y, order[x]) if rel.transpose else (order[x], Y)
+                    raise ConsistencyError(
+                        f"step k={k} disagrees at (row, column) = "
+                        f"({I.word}, {J.word}): |delta|/scale = {delta:.3e}")
+            lines[lid] = None
     return matrix
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 from .errors import PoleError
 from .permcomb import Permutation, compose_values
-from .qtheta import POLE_TOL, ThetaContext, theta
+from .qtheta import POLE_TOL, ThetaContext, theta, thetas
 
 #: theta-denominator modulus below which a random point counts as resonant
 RESONANCE_TOL = 1e-4
@@ -75,15 +75,15 @@ def resonance_margin(p: ParameterPoint, ctx: ThetaContext) -> float:
     versions including theta(hbar) itself."""
     n = p.n
     lh = p.log_h
-    vals = []
+    args = []
     for i in range(n):
         for j in range(n):
             if i != j:
-                vals.append(abs(theta(ctx, p.log_z[i] - p.log_z[j])))
-                vals.append(abs(theta(ctx, p.log_mu[i] - p.log_mu[j])))
-            vals.append(abs(theta(ctx, lh + p.log_z[i] - p.log_z[j])))
-            vals.append(abs(theta(ctx, lh + p.log_mu[i] - p.log_mu[j])))
-    return min(vals)
+                args.append(p.log_z[i] - p.log_z[j])
+                args.append(p.log_mu[i] - p.log_mu[j])
+            args.append(lh + p.log_z[i] - p.log_z[j])
+            args.append(lh + p.log_mu[i] - p.log_mu[j])
+    return min(abs(v) for v in thetas(ctx, args))
 
 
 def is_generic(p: ParameterPoint, ctx: ThetaContext) -> bool:
@@ -222,21 +222,31 @@ def W_sigma(sigma: Permutation, I: Permutation, t: ChernPoint,
     return W(K, t, q, ctx)
 
 
-def P(I: Permutation, log_w: tuple[complex, ...], p: ParameterPoint,
-      ctx: ThetaContext, th: Callable[[complex], complex] | None = None) -> complex:
-    """Diagonal theta product over pairs k < l: theta(hbar w_{I_l}/w_{I_k})
-    when I_l < I_k and theta(w_{I_l}/w_{I_k}) when I_l > I_k, with argument
-    slots filled from log_w and theta(ctx, x) read through th(x) when th
-    is given."""
-    if th is None:
-        th = partial(theta, ctx)
+def P_args(I: Permutation, log_w: tuple[complex, ...],
+           p: ParameterPoint) -> list[complex]:
+    """Theta arguments of P, in the order P multiplies them: over pairs
+    k < l, log(hbar w_{I_l}/w_{I_k}) when I_l < I_k and log(w_{I_l}/w_{I_k})
+    when I_l > I_k, with argument slots filled from log_w."""
     n = len(I)
     if len(log_w) != n:
         raise ValueError("argument list size mismatch")
-    out = 1.0 + 0j
+    args = []
     for k in range(1, n):
         for l in range(k + 1, n + 1):
             il, ik = I.word[l - 1], I.word[k - 1]
             lx = log_w[il - 1] - log_w[ik - 1]
-            out *= th(p.log_h + lx) if il < ik else th(lx)
+            args.append(p.log_h + lx if il < ik else lx)
+    return args
+
+
+def P(I: Permutation, log_w: tuple[complex, ...], p: ParameterPoint,
+      ctx: ThetaContext, th: Callable[[complex], complex] | None = None) -> complex:
+    """Diagonal theta product: the product of theta over
+    P_args(I, log_w, p), with theta(ctx, x) read through th(x) when th is
+    given."""
+    if th is None:
+        th = partial(theta, ctx)
+    out = 1.0 + 0j
+    for lx in P_args(I, log_w, p):
+        out *= th(lx)
     return out

@@ -281,6 +281,15 @@ class TestCommandLine:
                                     f"write {argv[-1]} into\n"), argv
             assert captured.out == "", argv
         assert not missing.exists()
+        # and an output path that names an existing directory
+        for argv in (["verify", "--n", "2", "--suites", "pprop", "--out", str(tmp_path)],
+                     ["matrix", "--n", "2", "--csv", str(tmp_path)]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == (f"configuration error: cannot write "
+                                    f"{tmp_path}: it is a directory\n"), argv
+            assert captured.out == "", argv
+        assert list(tmp_path.iterdir()) == []
 
     def test_main_config_error(self, capsys):
         assert main(["verify", "--n", "6"]) == 2

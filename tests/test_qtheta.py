@@ -3,9 +3,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
-from ellweights import RangeError, ThetaContext, theta
+from ellweights import ParameterPoint, RangeError, ThetaContext, theta
+from ellweights.qtheta import thetas
+from ellweights.weightfn import resonance_margin
 
 # Frozen output of an independent truncated-product oracle
 # (plain loop over (1 - q^s x), 64 factors, q = 0.1).
@@ -86,3 +89,53 @@ class TestGuardsAndContext:
     def test_default_trunc(self):
         assert ThetaContext.create(q=0.3).trunc == 69
         assert ThetaContext.create(q=1e-30).trunc == 24
+
+
+def _bits(values) -> bytes:
+    # signed zeros count: 0j and -0j differ here
+    return np.array(values, dtype=complex).tobytes()
+
+
+class TestBatchedTheta:
+    @pytest.mark.parametrize("q, trunc", [(0.3, None), (-0.5, None), (0.5j, 120),
+                                          (0.9 * cmath.exp(1j * math.pi / 3), None)])
+    def test_equals_scalar_theta_bit_for_bit(self, q, trunc):
+        ctx = ThetaContext.create(q=q, trunc=trunc)
+        rng = np.random.default_rng(11)
+        args = [complex(re, im) for re, im in
+                zip(rng.uniform(-4, 4, 2000), rng.uniform(-2 * math.pi, 2 * math.pi, 2000))]
+        args += [0j, -0j, complex(0.0, -0.0), 4.0 + 0j, -4.0 + 1j]
+        assert _bits(thetas(ctx, args)) == _bits([theta(ctx, a) for a in args])
+
+    def test_empty_input(self, ctx):
+        assert thetas(ctx, []) == []
+
+    def test_range_guard(self, ctx):
+        for bad in (40.0 + 0j, -40.0 + 1j):
+            with pytest.raises(RangeError) as scalar:
+                theta(ctx, bad)
+            with pytest.raises(RangeError) as batched:
+                thetas(ctx, [0.1 + 0.2j, bad, 50.0])
+            assert str(batched.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("q, trunc", [(0.3, None), (0.5j, 120)])
+    def test_resonance_margin_is_the_scalar_minimum(self, q, trunc):
+        # the smallest modulus among the same theta denominators, each read
+        # by scalar theta
+        ctx = ThetaContext.create(q=q, trunc=trunc)
+        rng = np.random.default_rng(7)
+        for i in range(100):
+            n = 2 + i % 4
+            p = ParameterPoint(
+                log_z=tuple(rng.uniform(-1, 1, n) + 1j * rng.uniform(-3, 3, n)),
+                log_mu=tuple(rng.uniform(-1, 1, n) + 1j * rng.uniform(-3, 3, n)),
+                log_h=complex(rng.uniform(-1, 1), rng.uniform(-3, 3)))
+            want = []
+            for a in range(n):
+                for b in range(n):
+                    if a != b:
+                        want.append(abs(theta(ctx, p.log_z[a] - p.log_z[b])))
+                        want.append(abs(theta(ctx, p.log_mu[a] - p.log_mu[b])))
+                    want.append(abs(theta(ctx, p.log_h + p.log_z[a] - p.log_z[b])))
+                    want.append(abs(theta(ctx, p.log_h + p.log_mu[a] - p.log_mu[b])))
+            assert resonance_margin(p, ctx) == min(want)

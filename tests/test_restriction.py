@@ -122,6 +122,17 @@ class TestDiagonal:
             want = A_diagonal(I, p, ctx)
             assert rel(got, want) < ctx.tol
 
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_args_list_what_the_diagonal_reads(self, n, ctx, rng):
+        # the recursions fill their theta table from diagonal_args
+        p = random_parameter_point(n, rng, ctx) if n > 1 else ParameterPoint(
+            log_z=(0.3,), log_mu=(0.7,), log_h=0.2)
+        for I in all_permutations(n):
+            read = []
+            value = A_diagonal(I, p, ctx, lambda lx: read.append(lx) or theta(ctx, lx))
+            assert read == restriction.diagonal_args(I, p)
+            assert value == A_diagonal(I, p, ctx)
+
 
 class TestTriangularity:
     @pytest.mark.parametrize("n", [2, 3])

@@ -21,9 +21,9 @@ GOLDEN_EXCH = 0.31274796386984577 - 0.0296967380816218j
 
 
 def _untabled(monkeypatch):
-    # a recursion build caches neither its thetas nor its update pairs:
-    # every lookup of either per-build cache misses
-    monkeypatch.setattr(rmatrix, "cache", lambda f: f)
+    # a recursion build reads every theta of its table through scalar theta,
+    # one argument at a time
+    monkeypatch.setattr(rmatrix, "thetas", lambda c, args: [theta(c, a) for a in args])
 
 
 @pytest.fixture()
@@ -256,6 +256,29 @@ class TestRecursionBuilders:
                            match=r"\(row, column\) = \(\(1, 2, 3\), \(1, 2, 3\)\)"):
             build_A_by_dual_recursion(p, ctx, crosscheck=True)
 
+    def test_schedule_compiled_once_per_relation_and_n(self, ctx):
+        # every build at n reads the one schedule of its relation; the
+        # first build compiles it, with or without crosscheck
+        rmatrix._schedule.cache_clear()
+        for seed in (1, 2):
+            p = random_parameter_point(4, np.random.default_rng(seed), ctx)
+            for crosscheck in (False, True):
+                build_A_by_R_recursion(p, ctx, crosscheck=crosscheck)
+                build_A_by_dual_recursion(p, ctx, crosscheck=crosscheck)
+        info = rmatrix._schedule.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 6, 2)
+
+    def test_schedule_size(self):
+        # a crosschecked n=4 build grows 178 lines, 154 updates and 24
+        # seeds, from 52 distinct update pairs and 24 seed diagonals; the
+        # main walk alone grows 116 lines from 45 pairs
+        for rel in (rmatrix._EXCHANGE, rmatrix._DUAL):
+            s = rmatrix._schedule(rel, 4)
+            seeds = [op for op in s.ops if len(op) == 2]
+            assert (len(s.ops), len(seeds)) == (178, 24)
+            assert [key is None for _, _, key in s.reads].count(False) == 52
+            assert (s.main_ops, s.main_reads, len(s.checks)) == (116, 69, 13)
+
     def test_each_coefficient_pair_computed_once(self, ctx, monkeypatch):
         # one crosschecked n=4 R + dual build meets 52 distinct (a, b, i, j)
         # keys per relation and computes one update pair for each
@@ -275,25 +298,29 @@ class TestRecursionBuilders:
     def test_each_theta_evaluated_once_per_build(self, ctx, monkeypatch):
         # the same crosschecked n=4 builds read 89 distinct theta arguments
         # each, in the coefficients and the seed diagonals, and evaluate
-        # each once
+        # all of them in one thetas call; scalar theta is never called
         p = random_parameter_point(4, np.random.default_rng(1), ctx)
-        args = []
-        plain = rmatrix.theta
+        batches = []
+        batched = rmatrix.thetas
 
-        def counted(c, lx):
-            args.append(lx)
-            return plain(c, lx)
+        def counted(c, args):
+            batches.append(list(args))
+            return batched(c, args)
 
+        def scalar(c, lx):
+            pytest.fail("scalar theta called")
+
+        monkeypatch.setattr(rmatrix, "thetas", counted)
         for module in (rmatrix, restriction, weightfn):
-            monkeypatch.setattr(module, "theta", counted)
+            monkeypatch.setattr(module, "theta", scalar)
         for build in (build_A_by_R_recursion, build_A_by_dual_recursion):
-            args.clear()
+            batches.clear()
             build(p, ctx, crosscheck=True)
-            assert len(args) == len(set(args)) == 89
+            assert [len(b) for b in batches] == [len(set(batches[0]))] == [89]
 
     def test_seeds_read_the_public_diagonal(self, ctx, monkeypatch):
         # every seed line of a build is one A_diagonal call through the
-        # build's theta cache: 24 seeds per relation for one crosschecked
+        # build's theta table: 24 seeds per relation for one crosschecked
         # n=4 R + dual pair
         p = random_parameter_point(4, np.random.default_rng(1), ctx)
         calls = []
@@ -311,6 +338,7 @@ class TestRecursionBuilders:
     @pytest.mark.parametrize("n, seed", [(3, 3), (4, 2)])
     def test_theta_table_leaves_the_matrices_bit_identical(self, n, seed, ctx,
                                                            monkeypatch):
+        # the batched table against the scalar theta reference
         p = random_parameter_point(n, np.random.default_rng(seed), ctx)
         builds = (build_A_by_R_recursion, build_A_by_dual_recursion)
         tabled = [b(p, ctx, crosscheck=True).entries.tobytes() for b in builds]
@@ -359,29 +387,30 @@ class TestRecursionBuilders:
         # dyadic logs with mu_2/mu_1 = z_1/z_2 = 1/hbar exactly: a seed
         # diagonal stores theta(hbar mu_2/mu_1) = theta(1) = 0, and the first
         # coefficient, with m = mu_1/mu_2 = hbar, reads its vanishing
-        # theta(hbar - m) from the cache
+        # theta(hbar - m) from the build's one table
         h = 0.25 + 0.5j
         dyadic = ParameterPoint(log_z=(0.125 + 0.375j, 0.375 + 0.875j, -0.625 + 0.25j),
                                 log_mu=(0.5 - 0.25j, 0.25 - 0.75j, -0.375 + 1.125j),
                                 log_h=h)
         zeros = {"computed": 0, "read": 0}
-        plain, cache = rmatrix.theta, rmatrix.cache
+        batched, diagonal, pair = rmatrix.thetas, rmatrix.A_diagonal, rmatrix._update_pair
 
-        def counted(c, lx):
-            zeros["computed"] += lx == 0
-            return plain(c, lx)
+        def counted(c, args):
+            zeros["computed"] += sum(lx == 0 for lx in args)
+            return batched(c, args)
 
-        def counting_cache(f):
-            # reads of either per-build cache; a pair key is never 0
-            cached = cache(f)
-
-            def read(arg):
-                zeros["read"] += arg == 0
-                return cached(arg)
+        def reading(th):
+            # reads of the table by a seed diagonal or an update pair
+            def read(lx):
+                zeros["read"] += lx == 0
+                return th(lx)
             return read
 
-        monkeypatch.setattr(rmatrix, "theta", counted)
-        monkeypatch.setattr(rmatrix, "cache", counting_cache)
+        monkeypatch.setattr(rmatrix, "thetas", counted)
+        monkeypatch.setattr(rmatrix, "A_diagonal",
+                            lambda X, q, c, th: diagonal(X, q, c, reading(th)))
+        monkeypatch.setattr(rmatrix, "_update_pair",
+                            lambda q, th, key: pair(q, reading(th), key))
         with pytest.raises(ResonanceError,
                            match=r"resonant coefficient at \(2, 1, 3\)") as served:
             build_A_by_R_recursion(dyadic, ctx)
