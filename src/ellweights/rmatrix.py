@@ -24,8 +24,11 @@ triangularity plus the closed-form diagonal.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from itertools import count, groupby
+from math import prod
 from typing import Callable
 
 import numpy as np
@@ -34,8 +37,8 @@ from .errors import ConsistencyError, PoleError, ResonanceError
 from .mirror import kappa_substitute
 from .permcomb import Permutation, all_permutations
 from .qtheta import POLE_TOL, ThetaContext, theta, thetas
-from .restriction import (A_diagonal, RestrictionMatrix, build_A_direct,
-                          diagonal_args, relative_residual)
+from .restriction import (RestrictionMatrix, build_A_direct, diagonal_args,
+                          relative_residual)
 from .weightfn import ParameterPoint
 
 
@@ -184,10 +187,89 @@ def dual_residual(A: RestrictionMatrix, ctx: ThetaContext) -> np.ndarray:
 # recursion driver
 # ---------------------------------------------------------------------------
 
+class _Log:
+    """A log as the node ``table[key]`` that forms it: a base log, or
+    (add, a, b) for node a + node b (a - b when add is false).  Arithmetic on
+    it records new nodes; ParameterPoint keeps it as given."""
+
+    __slots__ = ("table", "node")
+
+    def __init__(self, table: dict, key):
+        self.table, self.node = table, table.setdefault(key, len(table))
+
+    def __add__(self, other):
+        return _Log(self.table, (True, self.node, other.node))
+
+    def __sub__(self, other):
+        return _Log(self.table, (False, self.node, other.node))
+
+    def __neg__(self):
+        return _Log(self.table, ("-", self.node))
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The lines of a build as ``rows`` rows of one pool.  ``seeds`` holds
+    the row and nonzero position of each seed line.  Each chunk (dst, sw,
+    sl, k, r) of ``chunks`` grows lines of one depth (the distance of their
+    grown index from the seed) from their anchors' lines, one depth after
+    another over ``waves`` depths; a row is reused once the chunk of its last
+    reader is done.  The ``out`` rows of the main lines and the ``check``
+    rows of the crosscheck lines, with the ``ref`` rows of the main lines
+    they must equal, live to the end."""
+
+    rows: int
+    waves: int
+    seeds: tuple[np.ndarray, np.ndarray]
+    chunks: tuple[tuple[np.ndarray, ...], ...]
+    out: np.ndarray
+    check: np.ndarray
+    ref: np.ndarray
+
+
+#: entries of the lines one chunk grows or compares at once, which bounds
+#: the temporaries of a build
+_CHUNK = 1 << 15
+
+
+def _plan(ops: tuple, main: tuple, checks: tuple, size: int) -> _Plan:
+    """The plan that grows ``ops``, whose lines have ``size`` entries."""
+    depth = []
+    for op in ops:
+        depth.append(depth[op[1]] + 1 if len(op) == 4 else 0)
+    by_depth = sorted(range(len(ops)), key=depth.__getitem__)
+    waves = [list(lids) for _, lids in groupby(by_depth, depth.__getitem__)]
+    step = max(1, _CHUNK // size)
+    stages = waves[:1] + [wave[i:i + step] for wave in waves[1:]
+                          for i in range(0, len(wave), step)]
+    readers = Counter(src for op in ops if len(op) == 4 for src in op[1:3])
+    kept, row, free, fresh = set(main) | {lid for *_, lid in checks}, {}, [], count()
+    for stage in stages:
+        for lid in stage:
+            row[lid] = free.pop() if free else next(fresh)
+        for src in (src for lid in stage if depth[lid] for src in ops[lid][1:3]):
+            readers[src] -= 1
+            if not readers[src] and src not in kept:
+                free.append(row[src])
+
+    def rows(lids):
+        return np.array([row[lid] for lid in lids], dtype=np.intp)
+
+    def chunk(lids):
+        r, sw, sl, k = zip(*map(ops.__getitem__, lids))
+        return (rows(lids), rows(sw), rows(sl), np.array(k, dtype=np.intp) - 1,
+                np.array(r, dtype=np.intp))
+
+    seeds = np.array([ops[lid][1] for lid in waves[0]], dtype=np.intp)
+    return _Plan(next(fresh), len(waves), (rows(waves[0]), seeds),
+                 tuple(map(chunk, stages[1:])), rows(main),
+                 rows([lid for *_, lid in checks]), rows([main[x] for x, *_ in checks]))
+
+
 @dataclass(frozen=True)
 class _Schedule:
     """The memoized two-term recursion of one relation at one n, walked once
-    without a point and recorded in integer line ids.
+    without a point and compiled to index tables and row plans.
 
     Line ``lid`` lists the entries with one grown index X at one slot
     permutation, one for each other index Y in ``all_permutations(n)``
@@ -198,36 +280,45 @@ class _Schedule:
     with sw, sl the anchor's lines there, moved[k][Y] the index of
     move(Y, k), c1 = r1s / (1 - r2c r2s) and c2 = r2s r1c / (1 - r2c r2s).
     Unitarity of Felder's R-matrix (arXiv:hep-th/9412207) gives
-    1 - r2c r2s = r1c diag(b, a, -x), and theta is odd, so ``_update_pair``
+    1 - r2c r2s = r1c diag(b, a, -x), and theta is odd, so ``_ratios``
     writes both as theta ratios with no difference left to cancel.
 
-    ``reads`` lists what a build evaluates at its point, in the order the
-    depth-first walk first asks for it: (X, slots, None) is the diagonal of
-    the seed X at rel.point(p, slots), (X, slots, key) the update pair of
-    ``key``, first asked for by the grown index X.  ``ops[lid]`` makes line
-    lid, in walk order: (r, pos) is a seed line, zero but for reads[r] at
-    pos; (r, sw, sl, k) is an update with the pair reads[r].  ``drops[lid]``
-    lists the lines whose last reader is line lid, main lines excepted.
-    ``main`` holds each grown index's line at the identity slots and
-    ``checks`` the (x, k, lid) of each line grown through an alternative
-    step, in crosscheck order.  The main walk comes first, so a build
-    without crosscheck runs the first ``main_reads`` reads and the first
-    ``main_ops`` ops.
+    ``reads`` lists, in the order the depth-first walk first asks for them,
+    the seed diagonals (X, slots, None) of X at rel.point(p, slots) and the
+    update pairs (X, slots, key) of ``key``, first asked for by X.
+    ``ops[lid]`` makes line lid: (r, pos) is zero but for the r-th seed
+    value at pos, (r, sw, sl, k) an update with the r-th pair.  ``checks``
+    holds the (x, k, lid) of each line grown through an alternative step.
+    A build without crosscheck reads the first ``main_reads`` reads and runs
+    the ``lean`` plan of the main walk's ``main_ops`` ops; with crosscheck,
+    the ``full`` plan.  Every theta argument is a node (add, a, b), a + b
+    or a - b over the ``_base`` logs z, mu, hbar, -z and the nodes before,
+    found by running the argument builders once on a point of ``_Log``
+    values.
+    ``args`` holds the distinct argument nodes in first-read order (the
+    main walk's first), and ``terms[r]`` read r by argument position: the
+    sign, z side and mu side of a seed diagonal, or the six
+    ``_update_args`` of a pair.
     """
 
     reads: tuple[tuple[Permutation, Permutation, tuple | None], ...]
     ops: tuple[tuple[int, ...], ...]
-    drops: tuple[tuple[int, ...], ...]
-    main: tuple[int, ...]
     checks: tuple[tuple[int, int, int], ...]
     main_reads: int
     main_ops: int
+    nodes: tuple[tuple[bool, int, int], ...]
+    args: tuple[int, ...]
+    main_args: int
+    terms: tuple[tuple, ...]
+    moved: np.ndarray
+    lean: _Plan
+    full: _Plan
 
 
 @cache
 def _schedule(rel: _Relation, n: int) -> _Schedule:
     order = all_permutations(n)
-    index, _ = _tables(rel, n)
+    index, moved = _tables(rel, n)
     ids, reads, pairs, ops = {}, [], {}, []
 
     def line(X: Permutation, slots: Permutation, k_choice: int | None = None) -> int:
@@ -237,13 +328,13 @@ def _schedule(rel: _Relation, n: int) -> _Schedule:
         steps = rel.steps(X)
         if not steps:
             reads.append((X, slots, None))
-            op = (len(reads) - 1, index[X.word])
+            op = (len(reads) - len(pairs) - 1, index[X.word])
         else:
             k = k_choice if k_choice is not None else steps[0]
             anchor = rel.move(X, k)
             key = rel.key(anchor, k, slots)
             if key not in pairs:
-                pairs[key] = len(reads)
+                pairs[key] = len(pairs)
                 reads.append((X, slots, key))
             op = (pairs[key], line(anchor, slots.pos_swap(k)), line(anchor, slots), k)
         ids[state] = len(ops)
@@ -255,14 +346,27 @@ def _schedule(rel: _Relation, n: int) -> _Schedule:
     main_reads, main_ops = len(reads), len(ops)
     checks = tuple((x, k, line(X, ident, k)) for x, X in enumerate(order)
                    for k in rel.steps(X)[1:])
-    last = {src: lid for lid, op in enumerate(ops) if len(op) == 4 for src in op[1:3]}
-    kept = set(main)
-    drops = [[] for _ in ops]
-    for src, lid in last.items():
-        if src not in kept:
-            drops[lid].append(src)
-    return _Schedule(tuple(reads), tuple(ops), tuple(map(tuple, drops)), main,
-                     checks, main_reads, main_ops)
+    del line  # a closure that refers to itself: its tables go now
+
+    table, slot = {}, {}
+    z, mu = (tuple(_Log(table, (name, i)) for i in range(1, n + 1))
+             for name in ("z", "mu"))
+    sym = ParameterPoint(log_z=z, log_mu=mu, log_h=_Log(table, "h"))
+    base = _base(sym)
+    terms, taken, frame = [], [], rel.frame(sym)
+    for X, slots, key in reads:
+        logs = (diagonal_args(X, rel.point(sym, slots)) if key is None
+                else _update_args(frame, key))
+        term = tuple(slot.setdefault(v.node, len(slot)) for v in logs)
+        half = len(term) // 2
+        terms.append(term if key else (X.sign(), term[:half], term[half:]))
+        taken.append(len(slot))
+    ops = tuple(ops)
+    moves = np.array([moved[k] for k in range(1, n)], dtype=np.intp)
+    return _Schedule(tuple(reads), ops, checks, main_reads, main_ops,
+                     tuple(table)[len(base):], tuple(slot), taken[main_reads - 1],
+                     tuple(terms), moves, _plan(ops[:main_ops], main, (), len(order)),
+                     _plan(ops, main, checks, len(order)))
 
 
 def _update_args(q: ParameterPoint, key: tuple[int, int, int, int]) -> tuple:
@@ -271,88 +375,109 @@ def _update_args(q: ParameterPoint, key: tuple[int, int, int, int]) -> tuple:
     return x, h - m, x + h, m, x + m, h
 
 
-def _update_pair(q: ParameterPoint, th: Callable[[complex], complex],
-                 key: tuple[int, int, int, int]) -> tuple[complex, complex]:
-    x, hm, xh, m, xm, h = _update_args(q, key)
-    tx, thm = th(x), th(hm)
+def _ratios(tx: complex, thm: complex, txh: complex, tm: complex,
+            txm: complex, th: complex) -> tuple[complex, complex]:
+    """The update pair (c1, c2) from the thetas of its six arguments."""
     if abs(tx) < POLE_TOL or abs(thm) < POLE_TOL:
         raise PoleError("theta(x) or theta(hbar - m) vanished")
-    return -th(xh) * th(m) / (tx * thm), th(xm) * th(h) / (tx * thm)
+    return -txh * tm / (tx * thm), txm * th / (tx * thm)
 
 
-def _evaluate(rel: _Relation, p: ParameterPoint, ctx: ThetaContext,
-              reads: tuple) -> list:
-    """The value of each read at p, from one ``thetas`` call over every
-    distinct argument the reads take, in the order they first take it."""
-    frame = rel.frame(p)
-    points = [rel.point(p, slots) if key is None else frame
-              for _, slots, key in reads]
-    args = [lx for (X, _, key), q in zip(reads, points)
-            for lx in (diagonal_args(X, q) if key is None else _update_args(q, key))]
+def _update_pair(q: ParameterPoint, th: Callable[[complex], complex],
+                 key: tuple[int, int, int, int]) -> tuple[complex, complex]:
+    return _ratios(*map(th, _update_args(q, key)))
+
+
+def _base(p: ParameterPoint) -> list:
+    """The logs that the nodes of a schedule start from, in node order."""
+    return [*p.log_z, *p.log_mu, p.log_h, *(-v for v in p.log_z)]
+
+
+def _arguments(s: _Schedule, p: ParameterPoint) -> list:
+    """The value at p of each argument in ``s.args``, by the builders' own
+    operations in their order."""
+    logs = _base(p)
+    for add, a, b in s.nodes:
+        logs.append(logs[a] + logs[b] if add else logs[a] - logs[b])
+    return [logs[i] for i in s.args]
+
+
+def _evaluate(s: _Schedule, p: ParameterPoint, ctx: ThetaContext,
+              crosscheck: bool) -> tuple[list, list]:
+    """The seed values and update pairs a build reads at p, from one
+    ``thetas`` call over the distinct values of its arguments."""
+    reads, count = ((len(s.reads), len(s.args)) if crosscheck
+                    else (s.main_reads, s.main_args))
+    args = _arguments(s, p)[:count]
     distinct = list(dict.fromkeys(args))
-    th = dict(zip(distinct, thetas(ctx, distinct))).__getitem__
-    values = []
-    for (X, _, key), q in zip(reads, points):
+    table = dict(zip(distinct, thetas(ctx, distinct)))
+    at = [table[lx] for lx in args].__getitem__
+    seeds, pairs = [], []
+    for (X, _, key), term in zip(s.reads[:reads], s.terms):
         if key is None:
-            values.append(A_diagonal(X, q, ctx, th))
+            sign, zs, ms = term
+            seeds.append(sign * prod(map(at, zs), start=1.0 + 0j)
+                         * prod(map(at, ms), start=1.0 + 0j))
             continue
         try:
-            values.append(_update_pair(q, th, key))
+            pairs.append(_ratios(*map(at, term)))
         except PoleError as exc:
             raise ResonanceError(f"resonant coefficient at {X.word}: {exc}")
-    return values
+    return seeds, pairs
+
+
+def _combine(c1: tuple, a: tuple, c2: tuple, v: tuple) -> tuple:
+    """c1 * a + c2 * v entrywise on (real, imaginary) planes, bit for bit as
+    Python complex computes it: CPython's product formula as separate real
+    ufuncs (numpy's complex multiply rounds differently in its SIMD loops)."""
+    (c1r, c1i), (ar, ai), (c2r, c2i), (vr, vi) = c1, a, c2, v
+    return ((c1r * ar - c1i * ai) + (c2r * vr - c2i * vi),
+            (c1r * ai + c1i * ar) + (c2r * vi + c2i * vr))
 
 
 def _assemble(rel: _Relation, p: ParameterPoint, ctx: ThetaContext,
               provenance: str, crosscheck: bool) -> RestrictionMatrix:
-    """Matrix rebuilt by the recursion of ``rel``: the ops of its schedule
-    run as one flat loop over the values of its reads at p.  The crosscheck
-    rebuilds every grown index through each alternative step and requires
-    agreement."""
+    """Matrix rebuilt by the recursion of ``rel``: the lines grow in a pool
+    of real and imaginary rows, chunk by chunk of its plan, from the values
+    of its reads at p.  The crosscheck rebuilds every grown index through
+    each alternative step and requires agreement."""
     s = _schedule(rel, p.n)
-    values = _evaluate(rel, p, ctx, s.reads if crosscheck else s.reads[:s.main_reads])
-    _, moved = _tables(rel, p.n)
+    plan = s.full if crosscheck else s.lean
+    seeds, pairs = _evaluate(s, p, ctx, crosscheck)
     order = all_permutations(p.n)
     size = len(order)
-    lines = [None] * len(s.ops)
-
-    def grow(lo: int, hi: int) -> None:
-        for lid in range(lo, hi):
-            op = s.ops[lid]
-            if len(op) == 2:
-                line = [0.0 + 0j] * size
-                line[op[1]] = values[op[0]]
-            else:
-                r, sw, sl, k = op
-                c1, c2 = values[r]
-                a = lines[sw]
-                line = [c1 * a[m] + c2 * v for m, v in zip(moved[k], lines[sl])]
-            lines[lid] = line
-            for d in s.drops[lid]:
-                lines[d] = None
-
-    grow(0, s.main_ops)
-    main = [lines[lid] for lid in s.main]
-    entries = np.array(main, dtype=complex)
-    if rel.transpose:
-        entries = entries.T.copy()
+    pool = np.zeros((2, plan.rows, size))
+    seeds = np.array(seeds, dtype=complex)
+    pool[:, plan.seeds[0], plan.seeds[1]] = seeds.real, seeds.imag
+    # rows c1.real, c1.imag, c2.real, c2.imag, a column per pair
+    coef = np.array(pairs, dtype=complex).reshape(-1, 2).view(float).T
+    flat = pool.reshape(2, -1)
+    for dst, sw, sl, k, r in plan.chunks:
+        at = s.moved[k] + (sw * size)[:, None]   # a[moved[k]] of each sw row
+        c1r, c1i, c2r, c2i = coef[:, r, None]
+        pool[0, dst], pool[1, dst] = _combine(
+            (c1r, c1i), (flat[0].take(at), flat[1].take(at)),
+            (c2r, c2i), (pool[0].take(sl, axis=0), pool[1].take(sl, axis=0)))
+    entries = np.empty((size, size), dtype=complex)
+    for part, plane in zip((entries.real, entries.imag), pool):
+        part[...] = plane[plan.out].T if rel.transpose else plane[plan.out]
     ident = Permutation.identity(p.n)
     matrix = RestrictionMatrix(n=p.n, sigma=ident, order=order, entries=entries,
                                provenance=provenance, point=p)
     if crosscheck:
-        scale = 1.0 + matrix.max_abs()
-        done = s.main_ops
-        for x, k, lid in s.checks:
-            grow(done, lid + 1)
-            done = lid + 1
-            for Y, v, w in zip(order, lines[lid], main[x]):
-                delta = abs(v - w) / scale
-                if delta > ctx.tol:
-                    I, J = (Y, order[x]) if rel.transpose else (order[x], Y)
-                    raise ConsistencyError(
-                        f"step k={k} disagrees at (row, column) = "
-                        f"({I.word}, {J.word}): |delta|/scale = {delta:.3e}")
-            lines[lid] = None
+        scale, step = 1.0 + matrix.max_abs(), max(1, _CHUNK // size)
+        for lo in range(0, len(s.checks), step):
+            cut = slice(lo, lo + step)
+            re, im = pool[:, plan.check[cut]] - pool[:, plan.ref[cut]]
+            delta = np.hypot(re, im) / scale
+            over = np.flatnonzero(delta > ctx.tol)
+            if over.size:
+                c, y = divmod(int(over[0]), size)
+                x, k, _ = s.checks[lo + c]
+                I, J = (order[y], order[x]) if rel.transpose else (order[x], order[y])
+                raise ConsistencyError(
+                    f"step k={k} disagrees at (row, column) = ({I.word}, {J.word}): "
+                    f"|delta|/scale = {delta.flat[over[0]]:.3e}")
     return matrix
 
 

@@ -22,6 +22,12 @@ from .qtheta import POLE_TOL, ThetaContext, theta, thetas
 RESONANCE_TOL = 1e-4
 
 
+def _number(v):
+    """complex(v) for a Python int, float or complex; any other number (an
+    mpmath value, say) is kept as given."""
+    return complex(v) if isinstance(v, (int, float, complex)) else v
+
+
 @dataclass(frozen=True)
 class ParameterPoint:
     """Logs of the equivariant parameters z, the Kahler parameters mu and
@@ -34,9 +40,9 @@ class ParameterPoint:
     def __post_init__(self):
         if len(self.log_z) != len(self.log_mu):
             raise ValueError("z and mu must have equal length")
-        object.__setattr__(self, "log_z", tuple(complex(v) for v in self.log_z))
-        object.__setattr__(self, "log_mu", tuple(complex(v) for v in self.log_mu))
-        object.__setattr__(self, "log_h", complex(self.log_h))
+        object.__setattr__(self, "log_z", tuple(map(_number, self.log_z)))
+        object.__setattr__(self, "log_mu", tuple(map(_number, self.log_mu)))
+        object.__setattr__(self, "log_h", _number(self.log_h))
 
     @property
     def n(self) -> int:

@@ -1,13 +1,14 @@
 """Felder R-matrix entries, relation residuals, recursion builders."""
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
-from ellweights import (A_direct, ConsistencyError, ParameterPoint, Permutation,
-                        PoleError, ResonanceError, ThetaContext, all_permutations,
-                        build_A_by_dual_recursion, build_A_by_R_recursion,
+from ellweights import (A_diagonal, A_direct, ConsistencyError, ParameterPoint,
+                        Permutation, PoleError, ResonanceError, ThetaContext,
+                        all_permutations, build_A_by_dual_recursion, build_A_by_R_recursion,
                         build_A_direct, dual_R, dual_residual,
                         exchange_residual, felder_R, kappa_substitute,
                         random_parameter_point, restriction, rmatrix, theta,
@@ -279,21 +280,19 @@ class TestRecursionBuilders:
             assert [key is None for _, _, key in s.reads].count(False) == 52
             assert (s.main_ops, s.main_reads, len(s.checks)) == (116, 69, 13)
 
-    def test_each_coefficient_pair_computed_once(self, ctx, monkeypatch):
-        # one crosschecked n=4 R + dual build meets 52 distinct (a, b, i, j)
-        # keys per relation and computes one update pair for each
+    def test_each_coefficient_pair_computed_once(self, ctx):
+        # a crosschecked n=4 build reads 52 distinct (a, b, i, j) keys per
+        # relation, one compiled pair each, and each pair is bit for bit
+        # _update_pair at the relation's frame through scalar theta
         p = random_parameter_point(4, np.random.default_rng(1), ctx)
-        calls = []
-        pair = rmatrix._update_pair
-
-        def counted(*args):
-            calls.append(args)
-            return pair(*args)
-
-        monkeypatch.setattr(rmatrix, "_update_pair", counted)
-        build_A_by_R_recursion(p, ctx, crosscheck=True)
-        build_A_by_dual_recursion(p, ctx, crosscheck=True)
-        assert len(calls) == len({(c[0], c[2]) for c in calls}) == 104
+        th = partial(theta, ctx)
+        for rel in (rmatrix._EXCHANGE, rmatrix._DUAL):
+            s = rmatrix._schedule(rel, 4)
+            _, pairs = rmatrix._evaluate(s, p, ctx, crosscheck=True)
+            keys = [key for _, _, key in s.reads if key is not None]
+            assert len(pairs) == len(set(keys)) == 52
+            want = [rmatrix._update_pair(rel.frame(p), th, key) for key in keys]
+            assert np.array(pairs).tobytes() == np.array(want).tobytes()
 
     def test_each_theta_evaluated_once_per_build(self, ctx, monkeypatch):
         # the same crosschecked n=4 builds read 89 distinct theta arguments
@@ -318,22 +317,57 @@ class TestRecursionBuilders:
             build(p, ctx, crosscheck=True)
             assert [len(b) for b in batches] == [len(set(batches[0]))] == [89]
 
-    def test_seeds_read_the_public_diagonal(self, ctx, monkeypatch):
-        # every seed line of a build is one A_diagonal call through the
-        # build's theta table: 24 seeds per relation for one crosschecked
-        # n=4 R + dual pair
+    def test_seeds_read_the_public_diagonal(self, ctx):
+        # each of the 24 seed values a crosschecked n=4 build compiles per
+        # relation is, bit for bit, the public A_diagonal at its slot point
         p = random_parameter_point(4, np.random.default_rng(1), ctx)
-        calls = []
-        diagonal = rmatrix.A_diagonal
+        for rel in (rmatrix._EXCHANGE, rmatrix._DUAL):
+            s = rmatrix._schedule(rel, 4)
+            seeds, _ = rmatrix._evaluate(s, p, ctx, crosscheck=True)
+            want = [A_diagonal(X, rel.point(p, slots), ctx)
+                    for X, slots, key in s.reads if key is None]
+            assert len(seeds) == len(want) == 24
+            assert np.array(seeds).tobytes() == np.array(want).tobytes()
 
-        def counted(*args):
-            calls.append(args)
-            return diagonal(*args)
+    @pytest.mark.parametrize("n, waves, rows", [(4, 7, (62, 93)), (5, 11, (428, 610))])
+    def test_waves_and_pool_rows(self, n, waves, rows, ctx, monkeypatch):
+        # the seed wave and one update wave per depth; a build allocates one
+        # pool of the plan's rows, fewer than the lines it grows (116 and 178
+        # at n=4, 1,000 and 1,768 at n=5, without and with crosscheck)
+        p = random_parameter_point(n, np.random.default_rng(n), ctx)
+        pools = []
+        zeros = np.zeros
+        monkeypatch.setattr(np, "zeros", lambda shape, *a, **k: pools.append(shape)
+                            or zeros(shape, *a, **k))
+        for rel, build in ((rmatrix._EXCHANGE, build_A_by_R_recursion),
+                           (rmatrix._DUAL, build_A_by_dual_recursion)):
+            s = rmatrix._schedule(rel, n)
+            for plan, want, crosscheck in zip((s.lean, s.full), rows, (False, True)):
+                assert plan.waves == waves
+                pools.clear()
+                build(p, ctx, crosscheck=crosscheck)
+                assert pools == [(2, want, len(all_permutations(n)))]
 
-        monkeypatch.setattr(rmatrix, "A_diagonal", counted)
-        build_A_by_R_recursion(p, ctx, crosscheck=True)
-        build_A_by_dual_recursion(p, ctx, crosscheck=True)
-        assert len(calls) == 48
+    def test_row_update_is_python_complex_bit_for_bit(self):
+        # the wave kernel against the scalar update c1 * a[m] + c2 * v on
+        # 10,000 random entries from 1e-20 to 1e20, signed zeros included
+        # (a quarter of the parts are zeros of either sign, so that some
+        # results are zeros too); the planes hold real and imaginary parts
+        rng = np.random.default_rng(19)
+
+        def draw():
+            shape = (2, 10_000)
+            parts = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-20, 20, shape)
+            parts[rng.random(parts.shape) < 0.25] *= 0.0
+            return parts
+
+        c1, a, c2, v = (draw() for _ in range(4))
+        got = np.array(rmatrix._combine(c1, a, c2, v))
+        want = [complex(*x1) * complex(*y1) + complex(*x2) * complex(*y2)
+                for x1, y1, x2, y2 in zip(c1.T, a.T, c2.T, v.T)]
+        assert got.T.copy().tobytes() == np.array(want).tobytes()
+        zero = got[got == 0]
+        assert 0 < np.signbit(zero).sum() < zero.size
 
     @pytest.mark.parametrize("n, seed", [(3, 3), (4, 2)])
     def test_theta_table_leaves_the_matrices_bit_identical(self, n, seed, ctx,
@@ -393,27 +427,25 @@ class TestRecursionBuilders:
                                 log_mu=(0.5 - 0.25j, 0.25 - 0.75j, -0.375 + 1.125j),
                                 log_h=h)
         zeros = {"computed": 0, "read": 0}
-        batched, diagonal, pair = rmatrix.thetas, rmatrix.A_diagonal, rmatrix._update_pair
+        batched = rmatrix.thetas
 
         def counted(c, args):
             zeros["computed"] += sum(lx == 0 for lx in args)
             return batched(c, args)
 
-        def reading(th):
-            # reads of the table by a seed diagonal or an update pair
-            def read(lx):
-                zeros["read"] += lx == 0
-                return th(lx)
-            return read
-
         monkeypatch.setattr(rmatrix, "thetas", counted)
-        monkeypatch.setattr(rmatrix, "A_diagonal",
-                            lambda X, q, c, th: diagonal(X, q, c, reading(th)))
-        monkeypatch.setattr(rmatrix, "_update_pair",
-                            lambda q, th, key: pair(q, reading(th), key))
         with pytest.raises(ResonanceError,
                            match=r"resonant coefficient at \(2, 1, 3\)") as served:
             build_A_by_R_recursion(dyadic, ctx)
+        # reads of the table by the compiled reads walked before the pair
+        # that raises, then by its theta(x) and theta(hbar - m)
+        s = rmatrix._schedule(rmatrix._EXCHANGE, 3)
+        zero = [lx == 0 for lx in rmatrix._arguments(s, dyadic)]
+        fail = next(r for r, (X, _, key) in enumerate(s.reads)
+                    if key is not None and X.word == (2, 1, 3))
+        read = [i for (_, _, key), term in zip(s.reads[:fail], s.terms)
+                for i in (term if key else term[1] + term[2])] + list(s.terms[fail][:2])
+        zeros["read"] = sum(zero[i] for i in read)
         assert zeros == {"computed": 1, "read": 3}
         _untabled(monkeypatch)
         with pytest.raises(ResonanceError) as fresh:

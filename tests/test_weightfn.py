@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from ellweights import (ChernPoint, EvaluationError, P, ParameterPoint,
+from ellweights import (A_diagonal, ChernPoint, EvaluationError, P, ParameterPoint,
                         Permutation, PoleError, RangeError, ThetaContext, U,
-                        W, W_sigma, all_permutations, build_A_direct,
+                        W, W_sigma, all_permutations, build_A_by_R_recursion,
+                        build_A_direct,
                         compose, compose_values, fixed_point_tables,
                         is_generic, psi, random_chern_point,
                         random_parameter_point, restriction_point, theta,
@@ -395,6 +396,40 @@ class TestParameterPoint:
         assert is_generic(p, ctx)
         bad = ParameterPoint(log_z=(0.1, 0.1, 0.4), log_mu=p.log_mu, log_h=p.log_h)
         assert not is_generic(bad, ctx)
+
+    def test_other_number_types_kept_as_given(self, ctx, rng):
+        # int, float and complex logs (numpy's float64 and complex128 among
+        # them) become complex, so double points and their outputs stay as
+        # they were; any other number is kept, so a point of mpmath logs
+        # evaluates at its own precision through a theta callable
+        mpmath = pytest.importorskip("mpmath")
+        p = random_parameter_point(3, rng, ctx)
+        same = ParameterPoint(log_z=tuple(map(np.complex128, p.log_z)),
+                              log_mu=p.log_mu, log_h=p.log_h)
+        assert all(type(v) is complex for v in same.log_z)
+        assert build_A_by_R_recursion(same, ctx).entries.tobytes() == \
+            build_A_by_R_recursion(p, ctx).entries.tobytes()
+        plain = ParameterPoint(log_z=(1, np.float64(0.5)), log_mu=(0.25, 2j), log_h=0)
+        assert plain.log_z == (1 + 0j, 0.5 + 0j)
+        logs = plain.log_z + plain.log_mu + (plain.log_h,)
+        assert {type(v) for v in logs} == {complex}
+        with mpmath.workdps(30):
+            wide = ParameterPoint(log_z=tuple(map(mpmath.mpc, p.log_z)),
+                                  log_mu=tuple(map(mpmath.mpc, p.log_mu)),
+                                  log_h=mpmath.mpc(p.log_h))
+            logs = wide.log_z + wide.log_mu + (wide.log_h,)
+            assert {type(v) for v in logs} == {mpmath.mpc}
+            q = mpmath.mpf(0.3)
+
+            def th(lx):
+                x = mpmath.exp(lx)
+                return ((mpmath.exp(lx / 2) - mpmath.exp(-lx / 2))
+                        * mpmath.qp(q * x, q) * mpmath.qp(q / x, q))
+
+            for I in all_permutations(3):
+                value = A_diagonal(I, wide, ctx, th)
+                assert type(value) is mpmath.mpc
+                assert abs(value - A_diagonal(I, p, ctx)) < 1e-13 * abs(value)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
