@@ -221,7 +221,8 @@ def run_suite(name: str, config: RunConfig, ctx: ThetaContext) -> dict:
     checks = [{"id": cid, "residual": res, "pass": bool(res < ctx.tol)}
               for cid, res in pairs]
     return {"checks": checks,
-            "max_residual": max((c["residual"] for c in checks), default=0.0),
+            "max_residual": max((c["residual"] for c in checks), default=0.0,
+                                key=lambda r: (math.isnan(r), r)),
             "pass": all(c["pass"] for c in checks),
             **fields}
 

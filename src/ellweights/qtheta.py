@@ -62,8 +62,8 @@ class ThetaContext:
     def __post_init__(self):
         if not abs(cmath.exp(self.log_q)) < 1.0:
             raise ValueError("|q| = |exp(log_q)| must be strictly below 1")
-        if self.trunc < 1 or self.tol <= 0.0:
-            raise ValueError("trunc must be positive and tol > 0")
+        if self.trunc < 1 or not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("trunc must be positive and tol finite and > 0")
         # dropped tail of phi must fall below machine epsilon
         need = math.ceil(math.log(_EPS) / self.log_q.real)
         if self.trunc < need:

@@ -269,7 +269,7 @@ def _plan(ops: tuple, main: tuple, checks: tuple, size: int) -> _Plan:
 @dataclass(frozen=True)
 class _Schedule:
     """The memoized two-term recursion of one relation at one n, walked once
-    without a point and compiled to index tables and row plans.
+    without a point and compiled to index tables and one row plan.
 
     Line ``lid`` lists the entries with one grown index X at one slot
     permutation, one for each other index Y in ``all_permutations(n)``
@@ -288,31 +288,25 @@ class _Schedule:
     update pairs (X, slots, key) of ``key``, first asked for by X.
     ``ops[lid]`` makes line lid: (r, pos) is zero but for the r-th seed
     value at pos, (r, sw, sl, k) an update with the r-th pair.  ``checks``
-    holds the (x, k, lid) of each line grown through an alternative step.
-    A build without crosscheck reads the first ``main_reads`` reads and runs
-    the ``lean`` plan of the main walk's ``main_ops`` ops; with crosscheck,
-    the ``full`` plan.  Every theta argument is a node (add, a, b), a + b
+    holds the (x, k, lid) of each line grown through an alternative step;
+    ``plan`` grows every line, and a build compares the crosscheck lines
+    only when asked to.  Every theta argument is a node (add, a, b), a + b
     or a - b over the ``_base`` logs z, mu, hbar, -z and the nodes before,
     found by running the argument builders once on a point of ``_Log``
     values.
-    ``args`` holds the distinct argument nodes in first-read order (the
-    main walk's first), and ``terms[r]`` read r by argument position: the
-    sign, z side and mu side of a seed diagonal, or the six
-    ``_update_args`` of a pair.
+    ``args`` holds the distinct argument nodes in first-read order, and
+    ``terms[r]`` read r by argument position: the sign, z side and mu side
+    of a seed diagonal, or the six ``_update_args`` of a pair.
     """
 
     reads: tuple[tuple[Permutation, Permutation, tuple | None], ...]
     ops: tuple[tuple[int, ...], ...]
     checks: tuple[tuple[int, int, int], ...]
-    main_reads: int
-    main_ops: int
     nodes: tuple[tuple[bool, int, int], ...]
     args: tuple[int, ...]
-    main_args: int
     terms: tuple[tuple, ...]
     moved: np.ndarray
-    lean: _Plan
-    full: _Plan
+    plan: _Plan
 
 
 @cache
@@ -343,7 +337,6 @@ def _schedule(rel: _Relation, n: int) -> _Schedule:
 
     ident = Permutation.identity(n)
     main = tuple(line(X, ident) for X in order)
-    main_reads, main_ops = len(reads), len(ops)
     checks = tuple((x, k, line(X, ident, k)) for x, X in enumerate(order)
                    for k in rel.steps(X)[1:])
     del line  # a closure that refers to itself: its tables go now
@@ -353,19 +346,17 @@ def _schedule(rel: _Relation, n: int) -> _Schedule:
              for name in ("z", "mu"))
     sym = ParameterPoint(log_z=z, log_mu=mu, log_h=_Log(table, "h"))
     base = _base(sym)
-    terms, taken, frame = [], [], rel.frame(sym)
+    terms, frame = [], rel.frame(sym)
     for X, slots, key in reads:
         logs = (diagonal_args(X, rel.point(sym, slots)) if key is None
                 else _update_args(frame, key))
         term = tuple(slot.setdefault(v.node, len(slot)) for v in logs)
         half = len(term) // 2
         terms.append(term if key else (X.sign(), term[:half], term[half:]))
-        taken.append(len(slot))
     ops = tuple(ops)
     moves = np.array([moved[k] for k in range(1, n)], dtype=np.intp)
-    return _Schedule(tuple(reads), ops, checks, main_reads, main_ops,
-                     tuple(table)[len(base):], tuple(slot), taken[main_reads - 1],
-                     tuple(terms), moves, _plan(ops[:main_ops], main, (), len(order)),
+    return _Schedule(tuple(reads), ops, checks, tuple(table)[len(base):],
+                     tuple(slot), tuple(terms), moves,
                      _plan(ops, main, checks, len(order)))
 
 
@@ -402,18 +393,16 @@ def _arguments(s: _Schedule, p: ParameterPoint) -> list:
     return [logs[i] for i in s.args]
 
 
-def _evaluate(s: _Schedule, p: ParameterPoint, ctx: ThetaContext,
-              crosscheck: bool) -> tuple[list, list]:
+def _evaluate(s: _Schedule, p: ParameterPoint,
+              ctx: ThetaContext) -> tuple[list, list]:
     """The seed values and update pairs a build reads at p, from one
     ``thetas`` call over the distinct values of its arguments."""
-    reads, count = ((len(s.reads), len(s.args)) if crosscheck
-                    else (s.main_reads, s.main_args))
-    args = _arguments(s, p)[:count]
+    args = _arguments(s, p)
     distinct = list(dict.fromkeys(args))
     table = dict(zip(distinct, thetas(ctx, distinct)))
     at = [table[lx] for lx in args].__getitem__
     seeds, pairs = [], []
-    for (X, _, key), term in zip(s.reads[:reads], s.terms):
+    for (X, _, key), term in zip(s.reads, s.terms):
         if key is None:
             sign, zs, ms = term
             seeds.append(sign * prod(map(at, zs), start=1.0 + 0j)
@@ -439,11 +428,11 @@ def _assemble(rel: _Relation, p: ParameterPoint, ctx: ThetaContext,
               provenance: str, crosscheck: bool) -> RestrictionMatrix:
     """Matrix rebuilt by the recursion of ``rel``: the lines grow in a pool
     of real and imaginary rows, chunk by chunk of its plan, from the values
-    of its reads at p.  The crosscheck rebuilds every grown index through
-    each alternative step and requires agreement."""
+    of its reads at p.  The plan also rebuilds every grown index through
+    each alternative step; the crosscheck requires agreement."""
     s = _schedule(rel, p.n)
-    plan = s.full if crosscheck else s.lean
-    seeds, pairs = _evaluate(s, p, ctx, crosscheck)
+    plan = s.plan
+    seeds, pairs = _evaluate(s, p, ctx)
     order = all_permutations(p.n)
     size = len(order)
     pool = np.zeros((2, plan.rows, size))
@@ -470,7 +459,7 @@ def _assemble(rel: _Relation, p: ParameterPoint, ctx: ThetaContext,
             cut = slice(lo, lo + step)
             re, im = pool[:, plan.check[cut]] - pool[:, plan.ref[cut]]
             delta = np.hypot(re, im) / scale
-            over = np.flatnonzero(delta > ctx.tol)
+            over = np.flatnonzero(~(delta <= ctx.tol))
             if over.size:
                 c, y = divmod(int(over[0]), size)
                 x, k, _ = s.checks[lo + c]

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from typing import Callable
 
+import numpy as np
+
 from .errors import PoleError
 from .permcomb import Permutation, compose_values
 from .qtheta import POLE_TOL, ThetaContext, theta, thetas
@@ -23,9 +25,9 @@ RESONANCE_TOL = 1e-4
 
 
 def _number(v):
-    """complex(v) for a Python int, float or complex; any other number (an
-    mpmath value, say) is kept as given."""
-    return complex(v) if isinstance(v, (int, float, complex)) else v
+    """complex(v) for a Python or numpy int, float or complex; any other
+    number (an mpmath value, say) is kept as given."""
+    return complex(v) if isinstance(v, (int, float, complex, np.number)) else v
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """CLI harness: modes, suites, reports, determinism, golden fixtures."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,20 @@ class TestVerifyMode:
             ("exchange relation x0 pt=0", True), ("dual relation x0 pt=0", True),
             ("mirror I=1 J=1 pt=0", True)]
         assert checks[0]["residual"] == checks[1]["residual"] == 0.0
+
+    def test_nan_residual_is_the_maximum(self, ctx, monkeypatch):
+        # a plain max would report 1e-15 next to a failing NaN check
+        def check(ctx, p, rng, fields):
+            yield "small", 1e-15
+            yield "broken", float("nan")
+
+        monkeypatch.setitem(cli._CHECKS, "mirror", check)
+        report = cli.run_suite("mirror", cfg(), ctx)
+        assert math.isnan(report["max_residual"]) and report["pass"] is False
+        monkeypatch.setitem(cli._CHECKS, "mirror",
+                            lambda ctx, p, rng, fields: [("a", 0.0), ("b", 1e-15)])
+        report = cli.run_suite("mirror", cfg(), ctx)
+        assert report["max_residual"] == 1e-15 and report["pass"] is True
 
     def test_interface_suite(self):
         status, report = run(cfg(n=2, suites=("interface",)))

@@ -86,6 +86,12 @@ class TestGuardsAndContext:
         with pytest.raises(ValueError):
             ThetaContext(log_q=cmath.log(0.3), trunc=8)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_non_positive_tol_rejected(self, tol):
+        # a NaN tolerance would pass every comparison "residual > tol"
+        with pytest.raises(ValueError):
+            ThetaContext.create(q=0.3, tol=tol)
+
     def test_default_trunc(self):
         assert ThetaContext.create(q=0.3).trunc == 69
         assert ThetaContext.create(q=1e-30).trunc == 24

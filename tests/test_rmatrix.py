@@ -257,6 +257,17 @@ class TestRecursionBuilders:
                            match=r"\(row, column\) = \(\(1, 2, 3\), \(1, 2, 3\)\)"):
             build_A_by_dual_recursion(p, ctx, crosscheck=True)
 
+    def test_crosscheck_flags_nan(self, ctx, rng, monkeypatch):
+        # a NaN difference between alternative steps is a disagreement: with
+        # every theta NaN, both crosschecked builds raise instead of
+        # returning a matrix of NaN entries
+        p = random_parameter_point(3, rng, ctx)
+        monkeypatch.setattr(rmatrix, "thetas", lambda c, args: [complex("nan")] * len(args))
+        for build in (build_A_by_R_recursion, build_A_by_dual_recursion):
+            with pytest.raises(ConsistencyError, match=r"step k=\d disagrees at "
+                               r"\(row, column\) = .*: \|delta\|/scale = nan"):
+                build(p, ctx, crosscheck=True)
+
     def test_schedule_compiled_once_per_relation_and_n(self, ctx):
         # every build at n reads the one schedule of its relation; the
         # first build compiles it, with or without crosscheck
@@ -270,25 +281,25 @@ class TestRecursionBuilders:
         assert (info.misses, info.hits, info.currsize) == (2, 6, 2)
 
     def test_schedule_size(self):
-        # a crosschecked n=4 build grows 178 lines, 154 updates and 24
-        # seeds, from 52 distinct update pairs and 24 seed diagonals; the
-        # main walk alone grows 116 lines from 45 pairs
+        # an n=4 build, with or without crosscheck, grows 178 lines, 154
+        # updates and 24 seeds, from 52 distinct update pairs and 24 seed
+        # diagonals; 13 of its lines are compared by the crosscheck
         for rel in (rmatrix._EXCHANGE, rmatrix._DUAL):
             s = rmatrix._schedule(rel, 4)
             seeds = [op for op in s.ops if len(op) == 2]
             assert (len(s.ops), len(seeds)) == (178, 24)
             assert [key is None for _, _, key in s.reads].count(False) == 52
-            assert (s.main_ops, s.main_reads, len(s.checks)) == (116, 69, 13)
+            assert (len(s.reads), len(s.checks)) == (76, 13)
 
     def test_each_coefficient_pair_computed_once(self, ctx):
-        # a crosschecked n=4 build reads 52 distinct (a, b, i, j) keys per
+        # an n=4 build reads 52 distinct (a, b, i, j) keys per
         # relation, one compiled pair each, and each pair is bit for bit
         # _update_pair at the relation's frame through scalar theta
         p = random_parameter_point(4, np.random.default_rng(1), ctx)
         th = partial(theta, ctx)
         for rel in (rmatrix._EXCHANGE, rmatrix._DUAL):
             s = rmatrix._schedule(rel, 4)
-            _, pairs = rmatrix._evaluate(s, p, ctx, crosscheck=True)
+            _, pairs = rmatrix._evaluate(s, p, ctx)
             keys = [key for _, _, key in s.reads if key is not None]
             assert len(pairs) == len(set(keys)) == 52
             want = [rmatrix._update_pair(rel.frame(p), th, key) for key in keys]
@@ -318,22 +329,22 @@ class TestRecursionBuilders:
             assert [len(b) for b in batches] == [len(set(batches[0]))] == [89]
 
     def test_seeds_read_the_public_diagonal(self, ctx):
-        # each of the 24 seed values a crosschecked n=4 build compiles per
+        # each of the 24 seed values an n=4 build compiles per
         # relation is, bit for bit, the public A_diagonal at its slot point
         p = random_parameter_point(4, np.random.default_rng(1), ctx)
         for rel in (rmatrix._EXCHANGE, rmatrix._DUAL):
             s = rmatrix._schedule(rel, 4)
-            seeds, _ = rmatrix._evaluate(s, p, ctx, crosscheck=True)
+            seeds, _ = rmatrix._evaluate(s, p, ctx)
             want = [A_diagonal(X, rel.point(p, slots), ctx)
                     for X, slots, key in s.reads if key is None]
             assert len(seeds) == len(want) == 24
             assert np.array(seeds).tobytes() == np.array(want).tobytes()
 
-    @pytest.mark.parametrize("n, waves, rows", [(4, 7, (62, 93)), (5, 11, (428, 610))])
+    @pytest.mark.parametrize("n, waves, rows", [(4, 7, 93), (5, 11, 610)])
     def test_waves_and_pool_rows(self, n, waves, rows, ctx, monkeypatch):
-        # the seed wave and one update wave per depth; a build allocates one
-        # pool of the plan's rows, fewer than the lines it grows (116 and 178
-        # at n=4, 1,000 and 1,768 at n=5, without and with crosscheck)
+        # the seed wave and one update wave per depth; a build, with or
+        # without crosscheck, allocates one pool of the plan's rows, fewer
+        # than the lines it grows (178 at n=4, 1,768 at n=5)
         p = random_parameter_point(n, np.random.default_rng(n), ctx)
         pools = []
         zeros = np.zeros
@@ -341,12 +352,11 @@ class TestRecursionBuilders:
                             or zeros(shape, *a, **k))
         for rel, build in ((rmatrix._EXCHANGE, build_A_by_R_recursion),
                            (rmatrix._DUAL, build_A_by_dual_recursion)):
-            s = rmatrix._schedule(rel, n)
-            for plan, want, crosscheck in zip((s.lean, s.full), rows, (False, True)):
-                assert plan.waves == waves
+            assert rmatrix._schedule(rel, n).plan.waves == waves
+            for crosscheck in (False, True):
                 pools.clear()
                 build(p, ctx, crosscheck=crosscheck)
-                assert pools == [(2, want, len(all_permutations(n)))]
+                assert pools == [(2, rows, len(all_permutations(n)))]
 
     def test_row_update_is_python_complex_bit_for_bit(self):
         # the wave kernel against the scalar update c1 * a[m] + c2 * v on

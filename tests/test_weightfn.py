@@ -7,8 +7,8 @@ import pytest
 
 from ellweights import (A_diagonal, ChernPoint, EvaluationError, P, ParameterPoint,
                         Permutation, PoleError, RangeError, ThetaContext, U,
-                        W, W_sigma, all_permutations, build_A_by_R_recursion,
-                        build_A_direct,
+                        W, W_sigma, all_permutations, build_A_by_dual_recursion,
+                        build_A_by_R_recursion, build_A_direct,
                         compose, compose_values, fixed_point_tables,
                         is_generic, psi, random_chern_point,
                         random_parameter_point, restriction_point, theta,
@@ -430,6 +430,26 @@ class TestParameterPoint:
                 value = A_diagonal(I, wide, ctx, th)
                 assert type(value) is mpmath.mpc
                 assert abs(value - A_diagonal(I, p, ctx)) < 1e-13 * abs(value)
+
+    def test_numpy_scalar_logs_become_complex(self, ctx):
+        # numpy ints and float32 are not Python numbers, but they are numbers
+        # of double precision or less: the point holds them as complex, so
+        # it serializes and builds as the same point of Python numbers
+        odd = ParameterPoint(log_z=(np.int64(1), np.int64(0)),
+                             log_mu=(np.float32(0.25), 0.5), log_h=np.int32(0))
+        data = json.loads(json.dumps(odd.to_json()))
+        assert data == {"log_z": [[1.0, 0.0], [0.0, 0.0]],
+                        "log_mu": [[0.25, 0.0], [0.5, 0.0]], "log_h": [0.0, 0.0]}
+        assert odd == ParameterPoint(log_z=(1, 0), log_mu=(0.25, 0.5), log_h=0)
+        p = ParameterPoint(log_z=(np.int64(1), np.int64(-2), np.int64(0)),
+                           log_mu=(np.float32(0.25), np.float32(-0.625), 0.5 + 0.3j),
+                           log_h=np.float32(0.375))
+        plain = ParameterPoint(log_z=(1, -2, 0), log_mu=(0.25, -0.625, 0.5 + 0.3j),
+                               log_h=0.375)
+        assert is_generic(plain, ctx)
+        for build in (build_A_by_R_recursion, build_A_by_dual_recursion):
+            assert build(p, ctx, crosscheck=True).entries.tobytes() == \
+                build(plain, ctx, crosscheck=True).entries.tobytes()
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
