@@ -202,28 +202,37 @@ _CHECKS = {
 }
 
 
+def _error(exc: EvaluationError) -> dict:
+    return {"type": type(exc).__name__, "message": str(exc)}
+
+
 def run_suite(name: str, config: RunConfig, ctx: ThetaContext) -> dict:
     """Report of one suite: the checks its check function gives at each of
     ``config.points`` points drawn from the suite's own rng stream.  The
-    theta suite draws log-arguments, not points."""
+    theta suite draws log-arguments, not points.  An evaluation error ends
+    the suite: it fails, and reports the error after the checks made."""
     rng = _rng_for(config, name)
     fields: dict = {}
-    if name == "theta":
-        pairs = list(_check_theta(ctx, rng))
-    else:
-        pairs, points = [], []
-        for pt in range(config.points):
-            p = random_parameter_point(config.n, rng, ctx)
-            points.append(p.to_json())
-            pairs.extend((f"{cid} pt={pt}", res)
-                         for cid, res in _CHECKS[name](ctx, p, rng, fields))
+    pairs, points = [], []
+    try:
+        if name == "theta":
+            pairs.extend(_check_theta(ctx, rng))
+        else:
+            for pt in range(config.points):
+                p = random_parameter_point(config.n, rng, ctx)
+                points.append(p.to_json())
+                for cid, res in _CHECKS[name](ctx, p, rng, fields):
+                    pairs.append((f"{cid} pt={pt}", res))
+    except EvaluationError as exc:
+        fields = {"error": _error(exc), **fields}
+    if name != "theta":
         fields["points"] = points
     checks = [{"id": cid, "residual": res, "pass": bool(res < ctx.tol)}
               for cid, res in pairs]
     return {"checks": checks,
             "max_residual": max((c["residual"] for c in checks), default=0.0,
                                 key=lambda r: (math.isnan(r), r)),
-            "pass": all(c["pass"] for c in checks),
+            "pass": "error" not in fields and all(c["pass"] for c in checks),
             **fields}
 
 
@@ -294,7 +303,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
             report["suites"] = suites
             report["pass"] = all(s["pass"] for s in suites.values())
     except EvaluationError as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        report["error"] = _error(exc)
         report["pass"] = False
         return 1, report
     return (0 if report["pass"] else 1), report
@@ -358,6 +367,18 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         mode=args.mode, suites=suites)
 
 
+def _finite(value):
+    """value with each non-finite float written as the string "NaN",
+    "Infinity" or "-Infinity"."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -372,7 +393,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     status, report = run(config)
-    text = json.dumps(report, indent=2, sort_keys=False)
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError:   # strict JSON has no NaN or infinity: write them as strings
+        text = json.dumps(_finite(report), indent=2)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

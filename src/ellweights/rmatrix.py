@@ -28,7 +28,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import count, groupby
-from math import prod
 from typing import Callable
 
 import numpy as np
@@ -187,26 +186,6 @@ def dual_residual(A: RestrictionMatrix, ctx: ThetaContext) -> np.ndarray:
 # recursion driver
 # ---------------------------------------------------------------------------
 
-class _Log:
-    """A log as the node ``table[key]`` that forms it: a base log, or
-    (add, a, b) for node a + node b (a - b when add is false).  Arithmetic on
-    it records new nodes; ParameterPoint keeps it as given."""
-
-    __slots__ = ("table", "node")
-
-    def __init__(self, table: dict, key):
-        self.table, self.node = table, table.setdefault(key, len(table))
-
-    def __add__(self, other):
-        return _Log(self.table, (True, self.node, other.node))
-
-    def __sub__(self, other):
-        return _Log(self.table, (False, self.node, other.node))
-
-    def __neg__(self):
-        return _Log(self.table, ("-", self.node))
-
-
 @dataclass(frozen=True)
 class _Plan:
     """The lines of a build as ``rows`` rows of one pool.  ``seeds`` holds
@@ -280,7 +259,7 @@ class _Schedule:
     with sw, sl the anchor's lines there, moved[k][Y] the index of
     move(Y, k), c1 = r1s / (1 - r2c r2s) and c2 = r2s r1c / (1 - r2c r2s).
     Unitarity of Felder's R-matrix (arXiv:hep-th/9412207) gives
-    1 - r2c r2s = r1c diag(b, a, -x), and theta is odd, so ``_ratios``
+    1 - r2c r2s = r1c diag(b, a, -x), and theta is odd, so ``_update_pair``
     writes both as theta ratios with no difference left to cancel.
 
     ``reads`` lists, in the order the depth-first walk first asks for them,
@@ -290,21 +269,24 @@ class _Schedule:
     value at pos, (r, sw, sl, k) an update with the r-th pair.  ``checks``
     holds the (x, k, lid) of each line grown through an alternative step;
     ``plan`` grows every line, and a build compares the crosscheck lines
-    only when asked to.  Every theta argument is a node (add, a, b), a + b
-    or a - b over the ``_base`` logs z, mu, hbar, -z and the nodes before,
-    found by running the argument builders once on a point of ``_Log``
-    values.
-    ``args`` holds the distinct argument nodes in first-read order, and
-    ``terms[r]`` read r by argument position: the sign, z side and mu side
-    of a seed diagonal, or the six ``_update_args`` of a pair.
+    only when asked to.
+
+    Every theta argument is an integer combination of the 2n+1 logs
+    (log z_1..n, log mu_1..n, log hbar), found by running the argument
+    builders once on the point whose logs are the unit vectors.
+    ``vectors`` holds the distinct ones, a row each in first-read order;
+    the r-th seed is signs[r] times the product of theta over the rows
+    seed_args[r], and pair_args[r] holds the rows of the six
+    ``_update_args`` of the r-th pair.
     """
 
     reads: tuple[tuple[Permutation, Permutation, tuple | None], ...]
     ops: tuple[tuple[int, ...], ...]
     checks: tuple[tuple[int, int, int], ...]
-    nodes: tuple[tuple[bool, int, int], ...]
-    args: tuple[int, ...]
-    terms: tuple[tuple, ...]
+    vectors: np.ndarray
+    seed_args: np.ndarray
+    signs: np.ndarray
+    pair_args: np.ndarray
     moved: np.ndarray
     plan: _Plan
 
@@ -341,23 +323,21 @@ def _schedule(rel: _Relation, n: int) -> _Schedule:
                    for k in rel.steps(X)[1:])
     del line  # a closure that refers to itself: its tables go now
 
-    table, slot = {}, {}
-    z, mu = (tuple(_Log(table, (name, i)) for i in range(1, n + 1))
-             for name in ("z", "mu"))
-    sym = ParameterPoint(log_z=z, log_mu=mu, log_h=_Log(table, "h"))
-    base = _base(sym)
-    terms, frame = [], rel.frame(sym)
-    for X, slots, key in reads:
-        logs = (diagonal_args(X, rel.point(sym, slots)) if key is None
-                else _update_args(frame, key))
-        term = tuple(slot.setdefault(v.node, len(slot)) for v in logs)
-        half = len(term) // 2
-        terms.append(term if key else (X.sign(), term[:half], term[half:]))
-    ops = tuple(ops)
-    moves = np.array([moved[k] for k in range(1, n)], dtype=np.intp)
-    return _Schedule(tuple(reads), ops, checks, tuple(table)[len(base):],
-                     tuple(slot), tuple(terms), moves,
-                     _plan(ops, main, checks, len(order)))
+    unit = np.eye(2 * n + 1, dtype=np.int64)
+    sym = ParameterPoint(log_z=tuple(unit[:n]), log_mu=tuple(unit[n:-1]), log_h=unit[-1])
+    frame, ids, seed_args, pair_args = rel.frame(sym), {}, [], []
+    for X, slots, key in reads:   # ids: the bytes of each distinct vector
+        logs = (_update_args(frame, key) if key
+                else diagonal_args(X, rel.point(sym, slots)))
+        (pair_args if key else seed_args).append(
+            [ids.setdefault(v.tobytes(), len(ids)) for v in logs])
+    return _Schedule(tuple(reads), tuple(ops), checks,
+                     np.frombuffer(b"".join(ids), dtype=np.int64).reshape(-1, len(unit)),
+                     np.array(seed_args, dtype=np.intp).reshape(len(seed_args), -1),
+                     np.array([X.sign() for X, _, key in reads if key is None]),
+                     np.array(pair_args, dtype=np.intp).reshape(-1, 6),
+                     np.array([moved[k] for k in range(1, n)], dtype=np.intp),
+                     _plan(tuple(ops), main, checks, len(order)))
 
 
 def _update_args(q: ParameterPoint, key: tuple[int, int, int, int]) -> tuple:
@@ -366,90 +346,55 @@ def _update_args(q: ParameterPoint, key: tuple[int, int, int, int]) -> tuple:
     return x, h - m, x + h, m, x + m, h
 
 
-def _ratios(tx: complex, thm: complex, txh: complex, tm: complex,
-            txm: complex, th: complex) -> tuple[complex, complex]:
-    """The update pair (c1, c2) from the thetas of its six arguments."""
-    if abs(tx) < POLE_TOL or abs(thm) < POLE_TOL:
-        raise PoleError("theta(x) or theta(hbar - m) vanished")
-    return -txh * tm / (tx * thm), txm * th / (tx * thm)
+_VANISHED = "theta(x) or theta(hbar - m) vanished"
 
 
 def _update_pair(q: ParameterPoint, th: Callable[[complex], complex],
                  key: tuple[int, int, int, int]) -> tuple[complex, complex]:
-    return _ratios(*map(th, _update_args(q, key)))
-
-
-def _base(p: ParameterPoint) -> list:
-    """The logs that the nodes of a schedule start from, in node order."""
-    return [*p.log_z, *p.log_mu, p.log_h, *(-v for v in p.log_z)]
-
-
-def _arguments(s: _Schedule, p: ParameterPoint) -> list:
-    """The value at p of each argument in ``s.args``, by the builders' own
-    operations in their order."""
-    logs = _base(p)
-    for add, a, b in s.nodes:
-        logs.append(logs[a] + logs[b] if add else logs[a] - logs[b])
-    return [logs[i] for i in s.args]
+    """The update pair (c1, c2) of ``key`` at the frame point q, one scalar
+    theta th at a time: the reference for the pairs a build computes."""
+    tx, thm, txh, tm, txm, th_h = map(th, _update_args(q, key))
+    if abs(tx) < POLE_TOL or abs(thm) < POLE_TOL:
+        raise PoleError(_VANISHED)
+    return -txh * tm / (tx * thm), txm * th_h / (tx * thm)
 
 
 def _evaluate(s: _Schedule, p: ParameterPoint,
-              ctx: ThetaContext) -> tuple[list, list]:
-    """The seed values and update pairs a build reads at p, from one
-    ``thetas`` call over the distinct values of its arguments."""
-    args = _arguments(s, p)
-    distinct = list(dict.fromkeys(args))
-    table = dict(zip(distinct, thetas(ctx, distinct)))
-    at = [table[lx] for lx in args].__getitem__
-    seeds, pairs = [], []
-    for (X, _, key), term in zip(s.reads, s.terms):
-        if key is None:
-            sign, zs, ms = term
-            seeds.append(sign * prod(map(at, zs), start=1.0 + 0j)
-                         * prod(map(at, ms), start=1.0 + 0j))
-            continue
-        try:
-            pairs.append(_ratios(*map(at, term)))
-        except PoleError as exc:
-            raise ResonanceError(f"resonant coefficient at {X.word}: {exc}")
-    return seeds, pairs
-
-
-def _combine(c1: tuple, a: tuple, c2: tuple, v: tuple) -> tuple:
-    """c1 * a + c2 * v entrywise on (real, imaginary) planes, bit for bit as
-    Python complex computes it: CPython's product formula as separate real
-    ufuncs (numpy's complex multiply rounds differently in its SIMD loops)."""
-    (c1r, c1i), (ar, ai), (c2r, c2i), (vr, vi) = c1, a, c2, v
-    return ((c1r * ar - c1i * ai) + (c2r * vr - c2i * vi),
-            (c1r * ai + c1i * ar) + (c2r * vi + c2i * vr))
+              ctx: ThetaContext) -> tuple[np.ndarray, np.ndarray]:
+    """The seed values and the update pairs (c1, c2), a row per pair, that a
+    build reads at p, from one ``thetas`` call over the schedule's vectors.
+    The first pair in read order with a vanishing denominator is named."""
+    base = np.array([*p.log_z, *p.log_mu, p.log_h], dtype=complex)
+    th = np.array(thetas(ctx, s.vectors @ base), dtype=complex)
+    tx, thm, txh, tm, txm, th_h = th[s.pair_args].T
+    vanished = np.flatnonzero((np.abs(tx) < POLE_TOL) | (np.abs(thm) < POLE_TOL))
+    if vanished.size:
+        X = [X for X, _, key in s.reads if key is not None][vanished[0]]
+        raise ResonanceError(f"resonant coefficient at {X.word}: {_VANISHED}")
+    with np.errstate(invalid="ignore"):   # a NaN theta makes NaN pairs
+        pairs = np.stack([-txh * tm, txm * th_h], axis=1) / (tx * thm)[:, None]
+    return s.signs * th[s.seed_args].prod(axis=1), pairs
 
 
 def _assemble(rel: _Relation, p: ParameterPoint, ctx: ThetaContext,
               provenance: str, crosscheck: bool) -> RestrictionMatrix:
-    """Matrix rebuilt by the recursion of ``rel``: the lines grow in a pool
-    of real and imaginary rows, chunk by chunk of its plan, from the values
-    of its reads at p.  The plan also rebuilds every grown index through
-    each alternative step; the crosscheck requires agreement."""
+    """Matrix rebuilt by the recursion of ``rel``: the lines grow as complex
+    rows of one pool, chunk by chunk of its plan, from the values of its
+    reads at p.  The plan also rebuilds every grown index through each
+    alternative step; the crosscheck requires agreement."""
     s = _schedule(rel, p.n)
     plan = s.plan
     seeds, pairs = _evaluate(s, p, ctx)
+    c1, c2 = pairs.T
     order = all_permutations(p.n)
     size = len(order)
-    pool = np.zeros((2, plan.rows, size))
-    seeds = np.array(seeds, dtype=complex)
-    pool[:, plan.seeds[0], plan.seeds[1]] = seeds.real, seeds.imag
-    # rows c1.real, c1.imag, c2.real, c2.imag, a column per pair
-    coef = np.array(pairs, dtype=complex).reshape(-1, 2).view(float).T
-    flat = pool.reshape(2, -1)
+    pool = np.zeros((plan.rows, size), dtype=complex)
+    pool[plan.seeds] = seeds
+    flat = pool.reshape(-1)
     for dst, sw, sl, k, r in plan.chunks:
         at = s.moved[k] + (sw * size)[:, None]   # a[moved[k]] of each sw row
-        c1r, c1i, c2r, c2i = coef[:, r, None]
-        pool[0, dst], pool[1, dst] = _combine(
-            (c1r, c1i), (flat[0].take(at), flat[1].take(at)),
-            (c2r, c2i), (pool[0].take(sl, axis=0), pool[1].take(sl, axis=0)))
-    entries = np.empty((size, size), dtype=complex)
-    for part, plane in zip((entries.real, entries.imag), pool):
-        part[...] = plane[plan.out].T if rel.transpose else plane[plan.out]
+        pool[dst] = c1[r, None] * flat[at] + c2[r, None] * pool[sl]
+    entries = pool[plan.out].T if rel.transpose else pool[plan.out]
     ident = Permutation.identity(p.n)
     matrix = RestrictionMatrix(n=p.n, sigma=ident, order=order, entries=entries,
                                provenance=provenance, point=p)
@@ -457,8 +402,7 @@ def _assemble(rel: _Relation, p: ParameterPoint, ctx: ThetaContext,
         scale, step = 1.0 + matrix.max_abs(), max(1, _CHUNK // size)
         for lo in range(0, len(s.checks), step):
             cut = slice(lo, lo + step)
-            re, im = pool[:, plan.check[cut]] - pool[:, plan.ref[cut]]
-            delta = np.hypot(re, im) / scale
+            delta = np.abs(pool[plan.check[cut]] - pool[plan.ref[cut]]) / scale
             over = np.flatnonzero(~(delta <= ctx.tol))
             if over.size:
                 c, y = divmod(int(over[0]), size)

@@ -101,7 +101,7 @@ def is_generic(p: ParameterPoint, ctx: ThetaContext) -> bool:
 @dataclass(frozen=True)
 class ChernPoint:
     """Chern-root arguments: level k holds the k logs t^(k)_1 .. t^(k)_k
-    for k = 1 .. n-1."""
+    for k = 1 .. n-1, each kept as ParameterPoint keeps its logs."""
 
     levels: tuple[tuple[complex, ...], ...]
 
@@ -111,7 +111,7 @@ class ChernPoint:
                 raise ValueError(f"level {k} must hold {k} entries, got {len(lv)}")
         object.__setattr__(
             self, "levels",
-            tuple(tuple(complex(v) for v in lv) for lv in self.levels))
+            tuple(tuple(map(_number, lv)) for lv in self.levels))
 
     @property
     def n(self) -> int:

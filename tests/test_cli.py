@@ -355,20 +355,60 @@ class TestCommandLine:
 
     def test_pole_error_reported(self, monkeypatch, ctx):
         # a point with z_1 = z_2 has vanishing restriction denominators;
-        # the failing entry is reported under "error", not raised
+        # the failing entry is reported under "error", not raised: at the
+        # top of a matrix report, in the suite that raised in verify mode
         import ellweights.cli as climod
         base = random_parameter_point(3, np.random.default_rng(3), ctx)
         bad = ParameterPoint(log_z=(base.log_z[0], base.log_z[0], base.log_z[2]),
                              log_mu=base.log_mu, log_h=base.log_h)
         monkeypatch.setattr(climod, "random_parameter_point", lambda *a, **k: bad)
-        for config in (cfg(n=3, mode="matrix", suites=()),
-                       cfg(n=3, suites=("triangular",)),
-                       cfg(n=3, suites=("diagonal",))):
-            status, report = run(config)
-            assert status == 1
-            assert report["pass"] is False
-            assert report["error"]["type"] == "PoleError"
-            assert report["error"]["message"].startswith("entry ((1, 2, 3), ")
+        status, report = run(cfg(n=3, mode="matrix", suites=()))
+        assert (status, report["pass"]) == (1, False)
+        errors = [report["error"]]
+        for name in ("triangular", "diagonal"):
+            status, report = run(cfg(n=3, suites=(name,)))
+            assert (status, report["pass"]) == (1, False)
+            assert "error" not in report
+            suite = report["suites"][name]
+            assert (suite["checks"], suite["pass"]) == ([], False)
+            assert suite["points"] == [bad.to_json()]
+            errors.append(suite["error"])
+        for error in errors:
+            assert error["type"] == "PoleError"
+            assert error["message"].startswith("entry ((1, 2, 3), ")
+
+    def test_suite_error_keeps_the_other_suites(self):
+        # at q=0.7 the interface suite meets a matrix of condition estimate
+        # 4.5e9 and raises; the seven other suites still report, and pass
+        # (worst residual 2.6e-12)
+        status, report = run(RunConfig(n=3, q=0.7))
+        assert (status, report["pass"]) == (1, False)
+        assert "error" not in report
+        suites = report["suites"]
+        assert list(suites) == list(SUITE_NAMES)
+        error = suites["interface"]["error"]
+        assert error["type"] == "IllConditionedError"
+        assert error["message"].startswith("condition estimate 4.4")
+        assert [name for name, s in suites.items() if not s["pass"]] == ["interface"]
+        assert max(s["max_residual"] for s in suites.values()) < 1e-11
+
+    def test_report_is_strict_json(self, tmp_path, monkeypatch):
+        # non-finite residuals are written as strings, so the report parses
+        # with a parser that rejects the NaN and Infinity tokens
+        def check(ctx, p, rng, fields):
+            yield "nan", float("nan")
+            yield "inf", float("inf")
+            yield "-inf", float("-inf")
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        monkeypatch.setitem(cli._CHECKS, "mirror", check)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--n", "2", "--suites", "mirror", "--out", str(out)]) == 1
+        suite = json.loads(out.read_text(), parse_constant=reject)["suites"]["mirror"]
+        assert [c["residual"] for c in suite["checks"]] == ["NaN", "Infinity", "-Infinity"]
+        assert suite["max_residual"] == "NaN"
 
     def test_csv_only_in_matrix_mode(self, capsys):
         for mode in ("verify", "weights"):

@@ -458,3 +458,14 @@ class TestParameterPoint:
     def test_chern_level_shape(self):
         with pytest.raises(ValueError):
             ChernPoint(((0.1,), (0.2,)))
+
+    def test_chern_levels_kept_as_parameter_point_logs(self):
+        # double numbers become complex, as a ParameterPoint's logs do; an
+        # mpmath level is kept, so a Chern point evaluates at its precision
+        mpmath = pytest.importorskip("mpmath")
+        t = ChernPoint(((np.float64(0.5),), (1, 0.25 + 2j)))
+        assert t.levels == ((0.5 + 0j,), (1 + 0j, 0.25 + 2j))
+        assert {type(v) for lv in t.levels for v in lv} == {complex}
+        wide = ChernPoint(((mpmath.mpc(0.5, 1),), (mpmath.mpf(1), np.float32(0.25))))
+        assert [type(v) for lv in wide.levels for v in lv] == \
+            [mpmath.mpc, mpmath.mpf, complex]
