@@ -42,16 +42,13 @@ def mirror_residual(p: ParameterPoint, ctx: ThetaContext) -> np.ndarray:
     identity-chamber direct matrix at p, where S is the largest term modulus
     met while evaluating either side."""
     ident, order = Permutation.identity(p.n), all_permutations(p.n)
-    lhs = list(direct_entries(ident, p, ctx))
-    rhs = list(direct_entries(ident, kappa_substitute(p), ctx))
-    refl = [order.index(mirror_index(I)) for I in order]
-    m, sgn = len(order), global_sign(p.n)
-    out = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            (a, s1), (b, s2) = lhs[i * m + j], rhs[refl[j] * m + refl[i]]
-            out[i, j] = relative_residual(a, sgn * b, scale=max(s1, s2))
-    return out
+    lhs, s1 = map(np.array, zip(*direct_entries(ident, p, ctx)))
+    rhs, s2 = map(np.array, zip(*direct_entries(ident, kappa_substitute(p), ctx)))
+    # [i, j] -> the flat index of entry [refl[j], refl[i]] of the swapped side
+    refl = np.array([order.index(mirror_index(I)) for I in order])
+    at = refl[:, None] + len(order) * refl
+    return relative_residual(lhs.reshape(at.shape), global_sign(p.n) * rhs[at],
+                             scale=np.maximum(s1.reshape(at.shape), s2[at]))
 
 
 def _contract(inv: np.ndarray, first: list, second: list, sgn: int) -> complex:

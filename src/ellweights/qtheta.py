@@ -92,14 +92,22 @@ def _checked(lx) -> complex:
     return w
 
 
+def _value(ctx: ThetaContext, w: complex, prod: complex) -> complex:
+    # at |q| near 1 the truncated product can leave double range
+    value = (cmath.exp(w / 2) - cmath.exp(-w / 2)) * prod
+    if not cmath.isfinite(value):
+        raise RangeError(f"theta at log x = {w:.6g}, |q| = {math.exp(ctx.log_q.real):.6g}"
+                         f" is {value}: its product leaves double range")
+    return value
+
+
 def theta(ctx: ThetaContext, lx) -> complex:
     """Skew Jacobi theta function of x = exp(lx)."""
     w = _checked(lx)
     qs = _q_powers(ctx.log_q, ctx.trunc)
     xp = cmath.exp(ctx.log_q + w)
     xm = cmath.exp(ctx.log_q - w)
-    front = cmath.exp(w / 2) - cmath.exp(-w / 2)
-    return front * complex(np.prod((1.0 - qs * xp) * (1.0 - qs * xm)))
+    return _value(ctx, w, complex(np.prod((1.0 - qs * xp) * (1.0 - qs * xm))))
 
 
 def thetas(ctx: ThetaContext, args) -> list[complex]:
@@ -110,5 +118,4 @@ def thetas(ctx: ThetaContext, args) -> list[complex]:
     xp = np.array([cmath.exp(ctx.log_q + w) for w in ws], dtype=complex)
     xm = np.array([cmath.exp(ctx.log_q - w) for w in ws], dtype=complex)
     prods = np.prod((1.0 - qs * xp[:, None]) * (1.0 - qs * xm[:, None]), axis=1)
-    return [(cmath.exp(w / 2) - cmath.exp(-w / 2)) * v
-            for w, v in zip(ws, prods.tolist())]
+    return [_value(ctx, w, v) for w, v in zip(ws, prods.tolist())]

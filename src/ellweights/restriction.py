@@ -29,15 +29,18 @@ def restriction_point(J: Permutation, p: ParameterPoint) -> ChernPoint:
                             for lv in fixed_point_tables(J)[:-1]))
 
 
-def relative_residual(lhs: complex, *terms: complex, scale: float = 0.0) -> float:
+def relative_residual(lhs, *terms, scale=0.0):
     """Residual |lhs - t1 - t2 ...| / (|lhs| + sum |t_i| + scale) of an
-    identity lhs = t1 + t2 + ...; normalizing by the term moduli keeps
-    cancellation between terms from reading as error, and ``scale`` adds
-    any further modulus met while evaluating the terms."""
-    diff, size = lhs, abs(lhs)
+    identity lhs = t1 + t2 + ..., elementwise on numpy arrays; normalizing
+    by the term moduli keeps cancellation between terms from reading as
+    error, and ``scale`` adds any further modulus met evaluating the terms."""
+    def mod(v):  # rounds as Python's abs does; numpy's complex abs can differ
+        return np.hypot(np.real(v), np.imag(v))
+
+    diff, size = lhs, mod(lhs)
     for t in terms:
-        diff, size = diff - t, size + abs(t)
-    return abs(diff) / (size + scale + 1e-300)
+        diff, size = diff - t, size + mod(t)
+    return mod(diff) / (size + scale + 1e-300)
 
 
 def _naming_entry(exc: EvaluationError, I: Permutation, J: Permutation):

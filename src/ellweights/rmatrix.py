@@ -151,21 +151,19 @@ def _relation_residuals(rel: _Relation, A: RestrictionMatrix,
     _, moved = _tables(rel, n)
     frame = rel.frame(p)
 
-    def lines(M: RestrictionMatrix) -> list[list[complex]]:
-        return (M.entries.T if rel.transpose else M.entries).tolist()
+    def lines(M: RestrictionMatrix) -> np.ndarray:
+        return M.entries.T if rel.transpose else M.entries
 
     base = lines(A)
     out = np.zeros((n - 1, len(order), len(order)))
     for k in range(1, n):
         swapped = lines(build_A_direct(ident, rel.point(p, ident.pos_swap(k)), ctx))
-        mk = moved[k]
-        for x, a in enumerate(mk):
-            if k not in rel.steps(order[x]):
-                continue
-            r1, r2 = _felder_pair(frame, ctx, rel.key(order[a], k, ident))
-            for y in range(len(order)):
-                out[k - 1, x, y] = out[k - 1, a, y] = relative_residual(
-                    swapped[x][mk[y]], r1 * base[a][y], r2 * base[x][y])
+        xs = [x for x, X in enumerate(order) if k in rel.steps(X)]
+        anchors = [moved[k][x] for x in xs]
+        r1, r2 = np.array([_felder_pair(frame, ctx, rel.key(order[a], k, ident))
+                           for a in anchors], dtype=complex).T
+        out[k - 1, xs] = out[k - 1, anchors] = relative_residual(
+            swapped[np.ix_(xs, moved[k])], r1[:, None] * base[anchors], r2[:, None] * base[xs])
     return out.transpose(0, 2, 1) if rel.transpose else out
 
 

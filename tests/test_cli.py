@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -130,6 +131,31 @@ class TestVerifyMode:
                             lambda ctx, p, rng, fields: [("a", 0.0), ("b", 1e-15)])
         report = cli.run_suite("mirror", cfg(), ctx)
         assert report["max_residual"] == 1e-15 and report["pass"] is True
+
+    def test_theta_suite_nan_is_the_maximum(self, ctx, monkeypatch):
+        # a running max would keep its 1.6e-15 past one NaN theta
+        calls, scalar = [], cli.theta
+
+        def nan_on_7th(c, lx):
+            calls.append(lx)
+            return complex("nan") if len(calls) == 7 else scalar(c, lx)
+
+        monkeypatch.setattr(cli, "theta", nan_on_7th)
+        report = cli.run_suite("theta", cfg(suites=("theta",)), ctx)
+        assert len(calls) == 3000
+        assert math.isnan(report["max_residual"]) and report["pass"] is False
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy's, at the overflow
+    def test_products_out_of_double_range_name_the_error(self):
+        # at |q| = 0.999 (82,852 factors) most products leave double range:
+        # every suite reports a RangeError, and no check or NaN residual
+        status, report = run(RunConfig(n=2, q=0.999))
+        assert (status, report["pass"]) == (1, False)
+        for suite in report["suites"].values():
+            assert suite["pass"] is False
+            assert suite["error"]["type"] == "RangeError"
+            assert "|q| = 0.999" in suite["error"]["message"]
+            assert not any(math.isnan(c["residual"]) for c in suite["checks"])
 
     def test_interface_suite(self):
         status, report = run(cfg(n=2, suites=("interface",)))
@@ -419,6 +445,18 @@ class TestCommandLine:
 
 
 class TestPackage:
+    def test_readme_library_sketch_runs(self):
+        # the python block under "## Library sketch", run as a script with
+        # the tree under test on the path
+        src = Path(ellweights.__file__).parents[1]
+        readme = (src.parent / "README.md").read_text()
+        sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", sketch.split("```", 1)[0]],
+            capture_output=True, text=True, timeout=300, cwd=src,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+
     def test_star_import_resolves_every_export(self):
         namespace: dict = {}
         exec("from ellweights import *", namespace)

@@ -76,6 +76,16 @@ class TestGuardsAndContext:
         with pytest.raises(RangeError):
             theta(ctx, -40.0 + 1j)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy's, at the overflow
+    def test_product_out_of_double_range(self):
+        # at |q| = 0.999 the 82,852-factor product at x = e^3i overflows to NaN
+        near = ThetaContext.create(q=0.999)
+        with pytest.raises(RangeError, match=r"log x = 0\+3j, \|q\| = 0\.999") as scalar:
+            theta(near, 3j)
+        with pytest.raises(RangeError) as batched:
+            thetas(near, [0.1j, 3j])
+        assert str(batched.value) == str(scalar.value)
+
     def test_q_outside_disk_rejected(self):
         with pytest.raises(ValueError):
             ThetaContext(log_q=0.1, trunc=64)

@@ -159,6 +159,9 @@ class TestRelationResiduals:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_arrays_equal_the_per_entry_oracle(self, n, ctx, rng):
+        # numpy rounds a complex product differently from Python in the last
+        # bit, which moves a residual by under an eps (0.61 eps measured over
+        # n = 2, 3, q in {0.3, 0.5i}, default_rng(0..3))
         p = random_parameter_point(n, rng, ctx)
         A = build_A_direct(Permutation.identity(n), p, ctx)
         ex, du = exchange_residual(A, ctx), dual_residual(A, ctx)
@@ -166,8 +169,8 @@ class TestRelationResiduals:
         for k in range(1, n):
             for i, I in enumerate(order):
                 for j, J in enumerate(order):
-                    assert ex[k - 1, i, j] == _exchange_oracle(I, J, k, p, ctx)
-                    assert du[k - 1, i, j] == _dual_oracle(I, J, k, p, ctx)
+                    assert abs(ex[k - 1, i, j] - _exchange_oracle(I, J, k, p, ctx)) <= 2 * EPS
+                    assert abs(du[k - 1, i, j] - _dual_oracle(I, J, k, p, ctx)) <= 2 * EPS
 
     def test_work_per_call(self, ctx, rng, monkeypatch):
         # one call builds the n-1 swapped matrices and reads one Felder pair
