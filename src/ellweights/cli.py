@@ -278,6 +278,7 @@ def run_weights_mode(config: RunConfig, ctx: ThetaContext) -> dict:
     }
 
 
+@np.errstate(over="ignore", invalid="ignore")   # out-of-range thetas raise RangeError
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one configured run; returns (exit_status, report)."""
     ctx = config.context()
@@ -387,10 +388,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     status, report = run(config)
-    try:
-        text = json.dumps(report, indent=2, allow_nan=False)
-    except ValueError:   # strict JSON has no NaN or infinity: write them as strings
-        text = json.dumps(_finite(report), indent=2)
+    # strict JSON has no NaN or infinity: _finite writes them as strings
+    text = json.dumps(_finite(report), indent=2, allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -41,9 +41,9 @@ def mirror_residual(p: ParameterPoint, ctx: ThetaContext) -> np.ndarray:
     parameter-swap identity, indexed [i, j] by the row and column of the
     identity-chamber direct matrix at p, where S is the largest term modulus
     met while evaluating either side."""
-    ident, order = Permutation.identity(p.n), all_permutations(p.n)
-    lhs, s1 = map(np.array, zip(*direct_entries(ident, p, ctx)))
-    rhs, s2 = map(np.array, zip(*direct_entries(ident, kappa_substitute(p), ctx)))
+    order = all_permutations(p.n)
+    lhs, s1 = map(np.array, zip(*direct_entries(p, ctx)))
+    rhs, s2 = map(np.array, zip(*direct_entries(kappa_substitute(p), ctx)))
     # [i, j] -> the flat index of entry [refl[j], refl[i]] of the swapped side
     refl = np.array([order.index(mirror_index(I)) for I in order])
     at = refl[:, None] + len(order) * refl

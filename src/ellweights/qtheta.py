@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,10 +93,11 @@ def _checked(lx) -> complex:
     return w
 
 
-def _value(ctx: ThetaContext, w: complex, prod: complex) -> complex:
-    # at |q| near 1 the truncated product can leave double range
+def _value(ctx: ThetaContext, w: complex, prod: complex, lost: bool) -> complex:
+    # at |q| near 1 the truncated product can leave double range: lost marks
+    # an underflow where theta is not exactly 0 (x = 1 or a factor is 0)
     value = (cmath.exp(w / 2) - cmath.exp(-w / 2)) * prod
-    if not cmath.isfinite(value):
+    if lost or not cmath.isfinite(value):
         raise RangeError(f"theta at log x = {w:.6g}, |q| = {math.exp(ctx.log_q.real):.6g}"
                          f" is {value}: its product leaves double range")
     return value
@@ -107,7 +109,9 @@ def theta(ctx: ThetaContext, lx) -> complex:
     qs = _q_powers(ctx.log_q, ctx.trunc)
     xp = cmath.exp(ctx.log_q + w)
     xm = cmath.exp(ctx.log_q - w)
-    return _value(ctx, w, complex(np.prod((1.0 - qs * xp) * (1.0 - qs * xm))))
+    factors = (1.0 - qs * xp) * (1.0 - qs * xm)
+    prod = complex(np.prod(factors))
+    return _value(ctx, w, prod, abs(prod) < sys.float_info.min and w != 0 and factors.all())
 
 
 def thetas(ctx: ThetaContext, args) -> list[complex]:
@@ -117,5 +121,8 @@ def thetas(ctx: ThetaContext, args) -> list[complex]:
     qs = _q_powers(ctx.log_q, ctx.trunc)
     xp = np.array([cmath.exp(ctx.log_q + w) for w in ws], dtype=complex)
     xm = np.array([cmath.exp(ctx.log_q - w) for w in ws], dtype=complex)
-    prods = np.prod((1.0 - qs * xp[:, None]) * (1.0 - qs * xm[:, None]), axis=1)
-    return [_value(ctx, w, v) for w, v in zip(ws, prods.tolist())]
+    factors = (1.0 - qs * xp[:, None]) * (1.0 - qs * xm[:, None])
+    prods = np.prod(factors, axis=1)
+    lost = np.abs(prods) < sys.float_info.min
+    lost[lost] = factors[lost].all(axis=1) & (np.array(ws, dtype=complex)[lost] != 0)
+    return [_value(ctx, w, v, f) for w, v, f in zip(ws, prods.tolist(), lost.tolist())]

@@ -9,17 +9,17 @@ with an explicit theta-product diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable, Iterator
+from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from .errors import EvaluationError
 from .permcomb import (Permutation, all_permutations, bruhat_leq,
-                       fixed_point_tables, mirror_index)
-from .qtheta import ThetaContext, theta
+                       compose_values, fixed_point_tables, mirror_index)
+from .qtheta import ThetaContext
 from .weightfn import (ChernPoint, P, P_args, ParameterPoint, W_sigma,
-                       chamber_twist, weight_terms)
+                       weight_terms)
 
 
 def restriction_point(J: Permutation, p: ParameterPoint) -> ChernPoint:
@@ -62,16 +62,12 @@ def diagonal_args(I: Permutation, p: ParameterPoint) -> list[complex]:
     return P_args(I, p.log_z, p) + P_args(mirror_index(I), p.log_mu[::-1], p)
 
 
-def A_diagonal(I: Permutation, p: ParameterPoint, ctx: ThetaContext,
-               th: Callable[[complex], complex] | None = None) -> complex:
+def A_diagonal(I: Permutation, p: ParameterPoint, ctx: ThetaContext) -> complex:
     """Closed form of the diagonal entry: the sign of I times the z-side
     product at index I times the mu-side product at the reflected inverse
-    index, with reversed mu arguments; theta(ctx, x) is read through th(x)
-    when th is given."""
-    if th is None:
-        th = partial(theta, ctx)
-    return (I.sign() * P(I, p.log_z, p, ctx, th)
-            * P(mirror_index(I), p.log_mu[::-1], p, ctx, th))
+    index, with reversed mu arguments."""
+    return (I.sign() * P(I, p.log_z, p, ctx)
+            * P(mirror_index(I), p.log_mu[::-1], p, ctx))
 
 
 @lru_cache(maxsize=8)
@@ -150,9 +146,9 @@ def moduli_csv(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def direct_entries(sigma: Permutation, p: ParameterPoint,
+def direct_entries(p: ParameterPoint,
                    ctx: ThetaContext) -> Iterator[tuple[complex, float]]:
-    """Each entry of the chamber-sigma direct matrix at p, row-major in
+    """Each entry of the identity-chamber direct matrix at p, row-major in
     ``all_permutations`` order, as its value and the largest modulus among
     its symmetrization terms.
 
@@ -162,10 +158,9 @@ def direct_entries(sigma: Permutation, p: ParameterPoint,
     order = all_permutations(p.n)
     points = [restriction_point(J, p) for J in order]
     for I in order:
-        K, q = chamber_twist(sigma, I, p)
         for J, t in zip(order, points):
             try:
-                terms = weight_terms(K, t, q, ctx)
+                terms = weight_terms(I, t, p, ctx)
             except EvaluationError as exc:
                 raise _naming_entry(exc, I, J) from exc
             yield sum(terms), max(map(abs, terms))
@@ -173,10 +168,14 @@ def direct_entries(sigma: Permutation, p: ParameterPoint,
 
 def build_A_direct(sigma: Permutation, p: ParameterPoint,
                    ctx: ThetaContext) -> RestrictionMatrix:
-    """Assemble the full matrix from the values of ``direct_entries``."""
+    """The chamber-sigma matrix: W is symmetric within each Chern-root level,
+    so entry (I, J) is entry (sigma^{-1} o I, sigma^{-1} o J), value-wise, of
+    ``direct_entries`` at p with its z slots permuted by sigma; a failing
+    entry is named by those indices."""
     order = all_permutations(p.n)
     m = len(order)
-    values = [v for v, _ in direct_entries(sigma, p, ctx)]
-    entries = np.array(values, dtype=complex).reshape(m, m)
+    values = [v for v, _ in direct_entries(p.permute_z(sigma), ctx)]
+    at = [order.index(compose_values(sigma.inverse(), I)) for I in order]
+    entries = np.array(values, dtype=complex).reshape(m, m)[np.ix_(at, at)]
     return RestrictionMatrix(n=p.n, sigma=sigma, order=order, entries=entries,
                              provenance="direct", point=p)

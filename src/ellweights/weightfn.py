@@ -216,18 +216,11 @@ def W(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext) -> co
     return sum(weight_terms(I, t, p, ctx))
 
 
-def chamber_twist(sigma: Permutation, I: Permutation,
-                  p: ParameterPoint) -> tuple[Permutation, ParameterPoint]:
-    """The value-wise composed index sigma^{-1} o I and p with its z slots
-    permuted by sigma: where the chamber-sigma weight function of I reads W."""
-    return compose_values(sigma.inverse(), I), p.permute_z(sigma)
-
-
 def W_sigma(sigma: Permutation, I: Permutation, t: ChernPoint,
             p: ParameterPoint, ctx: ThetaContext) -> complex:
-    """Chamber-twisted weight function: W at chamber_twist(sigma, I, p)."""
-    K, q = chamber_twist(sigma, I, p)
-    return W(K, t, q, ctx)
+    """Chamber-twisted weight function: W at the value-wise composed index
+    sigma^{-1} o I, with the z slots of p permuted by sigma."""
+    return W(compose_values(sigma.inverse(), I), t, p.permute_z(sigma), ctx)
 
 
 def P_args(I: Permutation, log_w: tuple[complex, ...],
@@ -248,13 +241,9 @@ def P_args(I: Permutation, log_w: tuple[complex, ...],
 
 
 def P(I: Permutation, log_w: tuple[complex, ...], p: ParameterPoint,
-      ctx: ThetaContext, th: Callable[[complex], complex] | None = None) -> complex:
-    """Diagonal theta product: the product of theta over
-    P_args(I, log_w, p), with theta(ctx, x) read through th(x) when th is
-    given."""
-    if th is None:
-        th = partial(theta, ctx)
+      ctx: ThetaContext) -> complex:
+    """Diagonal theta product: the product of theta over P_args(I, log_w, p)."""
     out = 1.0 + 0j
     for lx in P_args(I, log_w, p):
-        out *= th(lx)
+        out *= theta(ctx, lx)
     return out

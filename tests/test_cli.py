@@ -145,7 +145,6 @@ class TestVerifyMode:
         assert len(calls) == 3000
         assert math.isnan(report["max_residual"]) and report["pass"] is False
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy's, at the overflow
     def test_products_out_of_double_range_name_the_error(self):
         # at |q| = 0.999 (82,852 factors) most products leave double range:
         # every suite reports a RangeError, and no check or NaN residual

@@ -90,7 +90,7 @@ class TestMirrorIdentity:
         calls = []
         sweep = mirror.direct_entries
         monkeypatch.setattr(mirror, "direct_entries",
-                            lambda *a: calls.append(a[1]) or sweep(*a))
+                            lambda *a: calls.append(a[0]) or sweep(*a))
         p = random_parameter_point(3, rng, ctx)
         mirror_residual(p, ctx)
         assert calls == [p, kappa_substitute(p)]

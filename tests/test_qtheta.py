@@ -83,8 +83,35 @@ class TestGuardsAndContext:
         with pytest.raises(RangeError, match=r"log x = 0\+3j, \|q\| = 0\.999") as scalar:
             theta(near, 3j)
         with pytest.raises(RangeError) as batched:
-            thetas(near, [0.1j, 3j])
+            thetas(near, [3j])
         assert str(batched.value) == str(scalar.value)
+
+    def test_product_underflow_raises(self):
+        # at |q| = 0.999 the product at x = e^0.1i or e^0.5 underflows to
+        # 0j, which would read as an exact zero of theta
+        near = ThetaContext.create(q=0.999)
+        for lx, text in ((0.1j, r"0\+0\.1j"), (0.5, r"0\.5\+0j")):
+            with pytest.raises(RangeError, match=rf"log x = {text}, \|q\| = 0\.999 is "
+                               ".*: its product leaves double range") as scalar:
+                theta(near, lx)
+            with pytest.raises(RangeError) as batched:
+                thetas(near, [lx, 1e-3])
+            assert str(batched.value) == str(scalar.value)
+        # exact zeros stay: x = 1, and x = 1/q where a factor is 0
+        ctx = ThetaContext.create(q=0.3)
+        zeros = [0j, -ctx.log_q]
+        assert _bits([theta(ctx, lx) for lx in zeros]) == _bits(thetas(ctx, zeros)) \
+            == _bits([0j, 0j])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy's, at the overflow
+    def test_batch_raises_at_its_first_failing_argument(self):
+        near = ThetaContext.create(q=0.999)
+        for args in ([3j, 0.5], [0.5, 3j]):
+            with pytest.raises(RangeError) as scalar:
+                [theta(near, lx) for lx in args]
+            with pytest.raises(RangeError) as batched:
+                thetas(near, args)
+            assert str(batched.value) == str(scalar.value)
 
     def test_q_outside_disk_rejected(self):
         with pytest.raises(ValueError):

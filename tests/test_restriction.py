@@ -9,8 +9,11 @@ from ellweights import (A_diagonal, A_direct, ChernPoint, ParameterPoint,
                         Permutation, PoleError, all_permutations, bruhat_leq,
                         build_A_direct, compose_values,
                         mirror_index, P, random_parameter_point,
-                        restriction_point, theta, W)
-from ellweights import restriction
+                        restriction_point, theta, ThetaContext, W,
+                        weight_terms)
+from ellweights import restriction, weightfn
+
+EPS = np.finfo(float).eps
 
 
 def rel(a, b):
@@ -123,15 +126,19 @@ class TestDiagonal:
             assert rel(got, want) < ctx.tol
 
     @pytest.mark.parametrize("n", [1, 3, 4])
-    def test_args_list_what_the_diagonal_reads(self, n, ctx, rng):
+    def test_args_list_what_the_diagonal_reads(self, n, ctx, rng, monkeypatch):
         # the recursions fill their theta table from diagonal_args
         p = random_parameter_point(n, rng, ctx) if n > 1 else ParameterPoint(
             log_z=(0.3,), log_mu=(0.7,), log_h=0.2)
         for I in all_permutations(n):
             read = []
-            value = A_diagonal(I, p, ctx, lambda lx: read.append(lx) or theta(ctx, lx))
+            want = A_diagonal(I, p, ctx)
+            with monkeypatch.context() as m:
+                m.setattr(weightfn, "theta",
+                          lambda c, lx: read.append(lx) or theta(c, lx))
+                value = A_diagonal(I, p, ctx)
             assert read == restriction.diagonal_args(I, p)
-            assert value == A_diagonal(I, p, ctx)
+            assert value == want
 
 
 class TestTriangularity:
@@ -221,6 +228,44 @@ class TestAONormalization:
         ident = Permutation((1,))
         assert ao_normalization_factor(ident, ident, p, ctx) == 1.0
         assert A_direct(ident, ident, ident, p, ctx) == 1.0
+
+
+class TestChambers:
+    CONTEXTS = [(0.3, None), (0.5j, 120)]
+
+    @staticmethod
+    def per_entry(sigma, p, ctx):
+        order = all_permutations(p.n)
+        return np.array([[A_direct(sigma, I, J, p, ctx) for J in order]
+                         for I in order])
+
+    @pytest.mark.parametrize("q, trunc", CONTEXTS)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_relabeled_sweep_is_the_definition(self, n, q, trunc):
+        # W is level-symmetric, so the relabeled identity-chamber sweep at
+        # the permuted point reads the very terms A_direct sums, in order
+        ctx = ThetaContext.create(q=q, trunc=trunc)
+        p = random_parameter_point(n, np.random.default_rng(n), ctx)
+        for sigma in all_permutations(n):
+            got = build_A_direct(sigma, p, ctx)
+            assert got.sigma == sigma and got.point == p
+            assert got.entries.tobytes() == self.per_entry(sigma, p, ctx).tobytes()
+
+    @pytest.mark.parametrize("q, trunc", CONTEXTS)
+    def test_n4_chambers_within_term_rounding(self, q, trunc):
+        # at n = 4 the level sums may add their terms in another order: each
+        # entry lies within 12 eps of the sum of its term moduli (measured
+        # at most 0.72 eps at default_rng(1))
+        ctx = ThetaContext.create(q=q, trunc=trunc)
+        p = random_parameter_point(4, np.random.default_rng(1), ctx)
+        order = all_permutations(4)
+        for sigma in (Permutation((2, 1, 3, 4)), Permutation((2, 3, 4, 1))):
+            got = build_A_direct(sigma, p, ctx).entries
+            want = self.per_entry(sigma, p, ctx)
+            size = np.array([[sum(map(abs, weight_terms(
+                compose_values(sigma.inverse(), I), restriction_point(J, p),
+                p.permute_z(sigma), ctx))) for J in order] for I in order])
+            assert (np.abs(got - want) <= 12 * EPS * size).all()
 
 
 class TestMatrixObject:

@@ -330,7 +330,7 @@ class TestRecursionBuilders:
             pytest.fail("scalar theta called")
 
         monkeypatch.setattr(rmatrix, "thetas", counted)
-        for module in (rmatrix, restriction, weightfn):
+        for module in (rmatrix, weightfn):
             monkeypatch.setattr(module, "theta", scalar)
         for build in (build_A_by_R_recursion, build_A_by_dual_recursion):
             batches.clear()
@@ -517,10 +517,9 @@ class TestHighPrecisionReference:
                                           log_mu=tuple(map(mpmath.mpc, p.log_mu)),
                                           log_h=mpmath.mpc(p.log_h))
                     with monkeypatch.context() as m:
-                        for module in (weightfn, restriction):
-                            m.setattr(module, "theta", lambda c, lx: wide_theta(lx))
+                        m.setattr(weightfn, "theta", lambda c, lx: wide_theta(lx))
                         ref = np.array([complex(v) for v, _ in
-                                        restriction.direct_entries(ident, wide, ctx)])
+                                        restriction.direct_entries(wide, ctx)])
                     ref = ref.reshape(builds[0].entries.shape)
                     bound = 64 * EPS * np.abs(ref).max()
                     for build in builds:
