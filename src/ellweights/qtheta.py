@@ -110,19 +110,28 @@ def theta(ctx: ThetaContext, lx) -> complex:
     xp = cmath.exp(ctx.log_q + w)
     xm = cmath.exp(ctx.log_q - w)
     factors = (1.0 - qs * xp) * (1.0 - qs * xm)
-    prod = complex(np.prod(factors))
+    prod = complex(np.multiply.reduce(factors))
     return _value(ctx, w, prod, abs(prod) < sys.float_info.min and w != 0 and factors.all())
 
 
 def thetas(ctx: ThetaContext, args) -> list[complex]:
-    """[theta(ctx, lx) for lx in args], bit for bit, with the products of
-    all arguments taken in one numpy pass over an (args x trunc) array."""
-    ws = [_checked(lx) for lx in args]
+    """[theta(ctx, lx) for lx in args], bit for bit, errors included, with
+    the products of all arguments taken in one numpy pass over an
+    (args x trunc) array.  Only the arguments before the first one out of
+    range are evaluated: that argument's RangeError is raised unless an
+    earlier value raises first."""
+    w = np.array(args, dtype=complex)
+    out = np.flatnonzero(np.abs(w.real) > LOG_RANGE)
+    m = out[0] if out.size else len(w)
+    ws = w[:m].tolist()
     qs = _q_powers(ctx.log_q, ctx.trunc)
-    xp = np.array([cmath.exp(ctx.log_q + w) for w in ws], dtype=complex)
-    xm = np.array([cmath.exp(ctx.log_q - w) for w in ws], dtype=complex)
+    xp = np.array([cmath.exp(ctx.log_q + x) for x in ws], dtype=complex)
+    xm = np.array([cmath.exp(ctx.log_q - x) for x in ws], dtype=complex)
     factors = (1.0 - qs * xp[:, None]) * (1.0 - qs * xm[:, None])
     prods = np.prod(factors, axis=1)
     lost = np.abs(prods) < sys.float_info.min
-    lost[lost] = factors[lost].all(axis=1) & (np.array(ws, dtype=complex)[lost] != 0)
-    return [_value(ctx, w, v, f) for w, v, f in zip(ws, prods.tolist(), lost.tolist())]
+    lost[lost] = factors[lost].all(axis=1) & (w[:m][lost] != 0)
+    values = [_value(ctx, x, v, f) for x, v, f in zip(ws, prods.tolist(), lost.tolist())]
+    if m < len(w):
+        _checked(w[m])   # raises the range guard's RangeError
+    return values

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -161,22 +161,18 @@ def _level_args(I: Permutation, t: ChernPoint, p: ParameterPoint):
     return list(t.levels) + [list(p.log_z)]
 
 
-def U(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext,
-      th: Callable[[complex], complex] | None = None) -> complex:
-    """Single (unsymmetrized) alternating product term of the weight function,
-    with theta(ctx, x) read through th(x) when th is given.
+def _term(I: Permutation, levels, p: ParameterPoint,
+          th: Callable[[complex], complex]) -> complex:
+    """U at the Chern-root logs ``levels`` (level 1 to n-1, then log z),
+    with theta(ctx, x) read through th(x); the caller checks the sizes.
 
     Raises PoleError when a level-internal theta denominator factor has
     modulus at most POLE_TOL.
     """
-    if th is None:
-        th = partial(theta, ctx)
-    n = len(I)
-    levels = _level_args(I, t, p)
     cases = _psi_cases(I)
     num = 1.0 + 0j
     den = 1.0 + 0j
-    for k in range(1, n):
+    for k in range(1, len(I)):
         tk, tk1 = levels[k - 1], levels[k]
         for ta, row in zip(tk, cases[k - 1]):
             for tc, case in zip(tk1, row):
@@ -191,23 +187,35 @@ def U(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext,
     return num / den
 
 
+def U(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext) -> complex:
+    """Single (unsymmetrized) alternating product term of the weight function.
+
+    Raises PoleError when a level-internal theta denominator factor has
+    modulus at most POLE_TOL.
+    """
+    return _term(I, _level_args(I, t, p), p, partial(theta, ctx))
+
+
 def weight_terms(I: Permutation, t: ChernPoint, p: ParameterPoint,
                  ctx: ThetaContext) -> list[complex]:
-    """All symmetrization terms of W_I in a fixed deterministic order.
+    """All symmetrization terms of W_I in a fixed deterministic order: U at
+    every permutation of the logs within each Chern-root level.
 
-    The terms share one cache of theta values keyed on the exact
+    The terms share one table of theta values keyed on the exact
     log-argument, so each distinct theta of the call is evaluated once; the
-    cache lives for this call only, and a theta that raises is not stored.
+    table lives for this call only, and a theta that raises is not stored.
     """
-    th = cache(partial(theta, ctx))
-    n = len(I)
-    terms = []
-    for perms in itertools.product(
-            *[itertools.permutations(range(k)) for k in range(1, n)]):
-        tp = ChernPoint(tuple(tuple(lv[i] for i in perm)
-                              for lv, perm in zip(t.levels, perms, strict=True)))
-        terms.append(U(I, tp, p, ctx, th))
-    return terms
+    table = {}
+
+    def th(lx):
+        value = table.get(lx)
+        if value is None:
+            value = table[lx] = theta(ctx, lx)
+        return value
+
+    *levels, z = _level_args(I, t, p)
+    return [_term(I, (*perm, z), p, th)
+            for perm in itertools.product(*map(itertools.permutations, levels))]
 
 
 def W(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext) -> complex:

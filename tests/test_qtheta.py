@@ -105,12 +105,16 @@ class TestGuardsAndContext:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy's, at the overflow
     def test_batch_raises_at_its_first_failing_argument(self):
+        # whichever check fails it first: the range guard or the product;
+        # e^800 would overflow cmath.exp, so it must not be taken at all
         near = ThetaContext.create(q=0.999)
-        for args in ([3j, 0.5], [0.5, 3j]):
+        ctx = ThetaContext.create(q=0.3)
+        for c, args in ((near, [3j, 0.5]), (near, [0.5, 3j]), (near, [0.5, 40.0]),
+                        (near, [3j, 40.0]), (near, [40.0, 0.5]), (ctx, [0.1, 800.0, 0.2])):
             with pytest.raises(RangeError) as scalar:
-                [theta(near, lx) for lx in args]
+                [theta(c, lx) for lx in args]
             with pytest.raises(RangeError) as batched:
-                thetas(near, args)
+                thetas(c, args)
             assert str(batched.value) == str(scalar.value)
 
     def test_q_outside_disk_rejected(self):

@@ -516,11 +516,16 @@ class TestHighPrecisionReference:
                     wide = ParameterPoint(log_z=tuple(map(mpmath.mpc, p.log_z)),
                                           log_mu=tuple(map(mpmath.mpc, p.log_mu)),
                                           log_h=mpmath.mpc(p.log_h))
+                    wide_theta.cache_clear()
                     with monkeypatch.context() as m:
                         m.setattr(weightfn, "theta", lambda c, lx: wide_theta(lx))
                         ref = np.array([complex(v) for v, _ in
                                         restriction.direct_entries(wide, ctx)])
                     ref = ref.reshape(builds[0].entries.shape)
+                    # the sweep read its thetas at 50 digits: a sweep that
+                    # bypassed the patched name would equal the double build
+                    assert wide_theta.cache_info().currsize > 0
+                    assert (ref != builds[0].entries).any()
                     bound = 64 * EPS * np.abs(ref).max()
                     for build in builds:
                         assert np.abs(build.entries - ref).max() <= bound, build.provenance

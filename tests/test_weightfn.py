@@ -1,5 +1,6 @@
 """Weight functions against the closed low-rank forms and their symmetries."""
 
+import itertools
 import json
 
 import numpy as np
@@ -11,8 +12,8 @@ from ellweights import (A_diagonal, ChernPoint, EvaluationError, P, ParameterPoi
                         build_A_by_R_recursion, build_A_direct,
                         compose, compose_values, fixed_point_tables,
                         is_generic, psi, random_chern_point,
-                        random_parameter_point, restriction_point, theta,
-                        weight_terms, weightfn)
+                        random_parameter_point, restriction,
+                        restriction_point, theta, weight_terms, weightfn)
 
 
 def rel(a, b):
@@ -20,11 +21,14 @@ def rel(a, b):
 
 
 def _untabled(monkeypatch):
-    # every term of a weight_terms call evaluates its own thetas: each
-    # lookup of the per-call cache misses
-    plain = weightfn.U
-    monkeypatch.setattr(weightfn, "U",
-                        lambda I, t, p, ctx, th=None: plain(I, t, p, ctx))
+    # every term of a weight_terms call is the per-term oracle U at its own
+    # Chern point, evaluating its own thetas with no table
+    def per_term(I, t, p, ctx):
+        return [U(I, ChernPoint(levels), p, ctx) for levels in
+                itertools.product(*map(itertools.permutations, t.levels))]
+
+    for module in (weightfn, restriction):
+        monkeypatch.setattr(module, "weight_terms", per_term)
 
 
 def w2_closed(I, t, p, ctx):
@@ -225,7 +229,7 @@ class TestThetaTable:
     @pytest.mark.parametrize("q", [0.3, 0.5j])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_terms_and_matrices_bit_identical(self, n, q, monkeypatch):
-        # the per-call cache changes no bit of any term or entry, the sign
+        # the per-call table changes no bit of any term or entry, the sign
         # of zero included (+0j and -0j keys compare equal)
         ctx = ThetaContext.create(q=q)
         rng = np.random.default_rng(n)
