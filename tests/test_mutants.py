@@ -65,7 +65,8 @@ MUTANTS = {
 _PSI = ("diagonal", "rmatrel", "dualrel", "mirror", "interface", "matrix")
 _THETA = ("theta", "rmatrel", "dualrel", "mirror", "interface", "matrix")
 
-#: name -> (kill set at q = 0.3, kill set at q = 0.5i), as measured
+#: name -> (kill set at q = 0.3, kill set at q = 0.5i), as measured; every
+#: mutant but the truncation below tol is killed at both q
 KILLS = {
     "control": ((), ()),
     "psi hbar shift subtracted": (_PSI, _PSI),
@@ -129,10 +130,3 @@ def kill_sets(root: Path, edit) -> tuple[tuple[str, ...], ...]:
 @pytest.mark.parametrize("name", list(MUTANTS))
 def test_kill_set_pinned(name, tmp_path):
     assert kill_sets(tmp_path, MUTANTS[name]) == KILLS[name]
-
-
-def test_every_mutant_but_the_sub_tol_truncation_is_killed_at_both_q():
-    for name, (low, wide) in KILLS.items():
-        if name == "control" or name.startswith("theta truncated"):
-            continue
-        assert low and wide, name

@@ -230,18 +230,21 @@ class TestThetaTable:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_terms_and_matrices_bit_identical(self, n, q, monkeypatch):
         # the per-call table changes no bit of any term or entry, the sign
-        # of zero included (+0j and -0j keys compare equal)
+        # of zero included (+0j and -0j keys compare equal); the terms at a
+        # restriction point are mostly zero
         ctx = ThetaContext.create(q=q)
         rng = np.random.default_rng(n)
         p = random_parameter_point(n, rng, ctx)
-        t = random_chern_point(n, rng)
         ident = Permutation.identity(n)
+        points = [random_chern_point(n, rng), restriction_point(ident, p)]
         cycle = Permutation(tuple(range(2, n + 1)) + (1,))
         sigmas = [ident, cycle] if n < 4 else [ident if q == 0.3 else cycle]
         order = all_permutations(n)
 
         def outputs():
-            terms = [weight_terms(I, t, p, ctx) for I in order]
+            # through the module, so that _untabled's oracle is what runs
+            terms = [np.array(weightfn.weight_terms(I, t, p, ctx)).tobytes()
+                     for I in order for t in points]
             return terms, [build_A_direct(s, p, ctx).entries.tobytes()
                            for s in sigmas]
 
