@@ -15,10 +15,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IllConditionedError
-from .permcomb import Permutation, all_permutations, mirror_index
+from .permcomb import (Permutation, all_permutations, compose_values,
+                       mirror_index)
 from .qtheta import ThetaContext
-from .restriction import (build_A_direct, direct_entries, relative_residual,
-                          restriction_point)
+from .restriction import build_A_direct, direct_entries, relative_residual
 from .weightfn import ChernPoint, ParameterPoint, W
 
 
@@ -51,15 +51,6 @@ def mirror_residual(p: ParameterPoint, ctx: ThetaContext) -> np.ndarray:
                              scale=np.maximum(s1.reshape(at.shape), s2[at]))
 
 
-def _contract(inv: np.ndarray, first: list, second: list, sgn: int) -> complex:
-    """sgn * sum_i sum_j inv[i, j] * first[j] * second[i]."""
-    total = 0.0 + 0j
-    for i, s in enumerate(second):
-        for j, f in enumerate(first):
-            total += inv[i, j] * f * s
-    return sgn * total
-
-
 @dataclass(frozen=True)
 class DualityInterface:
     """Evaluator for the two-slot interpolation function at the point p,
@@ -77,24 +68,27 @@ class DualityInterface:
     @cached_property
     def _solved(self) -> tuple[np.ndarray, np.ndarray]:
         A = build_A_direct(Permutation.identity(self.p.n), self.p, self.ctx).entries
-        inv = np.linalg.inv(A)
+        try:
+            inv = np.linalg.inv(A)
+        except np.linalg.LinAlgError as exc:
+            raise IllConditionedError(f"singular restriction matrix: {exc}") from exc
         cond = np.linalg.norm(A, 1) * np.linalg.norm(inv, 1)
         if cond > 1.0 / self.ctx.tol:
             raise IllConditionedError(f"condition estimate {cond:.3e}")
         return A, inv
 
-    def _first(self, t: ChernPoint) -> list[complex]:
-        return [W(J, t, self.p, self.ctx) for J in all_permutations(self.p.n)]
+    def _first(self, t: ChernPoint) -> np.ndarray:
+        return np.array([W(J, t, self.p, self.ctx) for J in all_permutations(self.p.n)])
 
-    def _second(self, t_prime: ChernPoint) -> list[complex]:
+    def _second(self, t_prime: ChernPoint) -> np.ndarray:
         pk = kappa_substitute(self.p)
-        return [W(mirror_index(I), t_prime, pk, self.ctx)
-                for I in all_permutations(self.p.n)]
+        return np.array([W(mirror_index(I), t_prime, pk, self.ctx)
+                         for I in all_permutations(self.p.n)])
 
     def value(self, t: ChernPoint, t_prime: ChernPoint) -> complex:
         """The interpolation double sum at Chern points (t, t')."""
-        return _contract(self._solved[1], self._first(t), self._second(t_prime),
-                         global_sign(self.p.n))
+        inv = self._solved[1]  # the gate runs before any weight function
+        return complex(global_sign(self.p.n) * (self._second(t_prime) @ inv @ self._first(t)))
 
 
 def interpolation_residuals(iface: DualityInterface, t: ChernPoint,
@@ -104,16 +98,18 @@ def interpolation_residuals(iface: DualityInterface, t: ChernPoint,
     first fixes the second slot at I^{-1}'s restriction point in the dual
     parameters and gives W_I(t); the second fixes the first slot at I^{-1}'s
     restriction point in z, column I^{-1} of the held matrix, and gives
-    sgn * W_{I o sigma_0}(t') = sgn * W_{mirror_index(I^{-1})}(t')."""
+    sgn * W_{I o sigma_0}(t') = sgn * W_{mirror_index(I^{-1})}(t').  The
+    first slot's fixed values W_{mirror_index(K)} are read from the direct
+    matrix at kappa_substitute(p), at row mirror_index(K) and column
+    sigma_0 o I^{-1} value-wise: that column's restriction point holds the
+    dual one's values, level by level."""
     A, inv = iface._solved
-    p, order, sgn = iface.p, all_permutations(iface.p.n), global_sign(iface.p.n)
+    n, sgn, order = iface.p.n, global_sign(iface.p.n), all_permutations(iface.p.n)
+    rows = [order.index(mirror_index(I)) for I in order]
+    cols = [order.index(compose_values(Permutation.longest(n), I.inverse())) for I in order]
+    inv_idx = [order.index(I.inverse()) for I in order]
+    dual = build_A_direct(Permutation.identity(n), kappa_substitute(iface.p),
+                          iface.ctx).entries[np.ix_(rows, cols)].T
     first, second = iface._first(t), iface._second(t_prime)
-    dual = ParameterPoint(log_z=p.log_mu, log_mu=p.log_mu, log_h=p.log_h)
-    out = np.empty((2, len(order)))
-    for c, I in enumerate(order):
-        dual_slot = iface._second(restriction_point(I.inverse(), dual))
-        out[0, c] = relative_residual(_contract(inv, first, dual_slot, sgn), first[c])
-        c_inv = order.index(I.inverse())
-        out[1, c] = relative_residual(_contract(inv, A[:, c_inv].tolist(), second, sgn),
-                                      sgn * second[c_inv])
-    return out[0], out[1]
+    return (relative_residual(sgn * dual @ (inv @ first), first),
+            relative_residual(sgn * (second @ inv) @ A[:, inv_idx], sgn * second[inv_idx]))

@@ -417,6 +417,29 @@ class TestCommandLine:
         assert [name for name, s in suites.items() if not s["pass"]] == ["interface"]
         assert max(s["max_residual"] for s in suites.values()) < 1e-11
 
+    def test_singular_matrix_fails_the_interface_alone(self, monkeypatch):
+        # an exactly singular A (here one row zeroed) makes numpy's inverse
+        # raise LinAlgError; the interface reports it as its own error and
+        # the other suites still run and pass
+        from ellweights import mirror
+        real = mirror.build_A_direct
+
+        def zero_row(*a):
+            mat = real(*a)
+            mat.entries[0] = 0.0
+            return mat
+
+        monkeypatch.setattr(mirror, "build_A_direct", zero_row)
+        status, report = run(RunConfig(n=2))
+        assert (status, report["pass"]) == (1, False)
+        suites = report["suites"]
+        assert list(suites) == list(SUITE_NAMES)
+        assert suites["interface"]["checks"] == []
+        error = suites["interface"]["error"]
+        assert error["type"] == "IllConditionedError"
+        assert error["message"].startswith("singular restriction matrix")
+        assert [name for name, s in suites.items() if not s["pass"]] == ["interface"]
+
     def test_report_is_strict_json(self, tmp_path, monkeypatch):
         # non-finite residuals are written as strings, so the report parses
         # with a parser that rejects the NaN and Infinity tokens
