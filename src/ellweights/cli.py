@@ -28,7 +28,7 @@ from .errors import EvaluationError
 from .mirror import (DualityInterface, interpolation_residuals,
                      mirror_residual)
 from .permcomb import Permutation, all_permutations, compose
-from .qtheta import ThetaContext, theta
+from .qtheta import ThetaContext, thetas
 from .restriction import (A_diagonal, A_direct, build_A_direct, moduli_csv,
                           relative_residual)
 from .rmatrix import (build_A_by_dual_recursion, build_A_by_R_recursion,
@@ -127,9 +127,9 @@ def _check_theta(ctx: ThetaContext, rng: np.random.Generator):
     """Oddness and quasi-periodicity over 1000 random log-arguments."""
     re, im = rng.uniform([-2, -2 * np.pi], [2, 2 * np.pi], (1000, 2)).T
     lx = re + 1j * im
-    tv = np.array([theta(ctx, x) for x in lx])
-    neg = np.array([theta(ctx, -x) for x in lx])
-    shift = np.array([theta(ctx, ctx.log_q + x) for x in lx])
+    tv = np.array(thetas(ctx, lx))
+    neg = np.array(thetas(ctx, -lx))
+    shift = np.array(thetas(ctx, ctx.log_q + lx))
     odd = np.abs(neg + tv) / (1.0 + np.abs(tv))
     qp = np.abs(shift + np.exp(-ctx.log_q / 2 - lx) * tv) / (1.0 + np.abs(shift) + np.abs(tv))
     yield "oddness x1000", float(np.max(odd))

@@ -32,6 +32,14 @@ LOG_RANGE = 32.0
 #: modulus below which a theta denominator counts as a pole
 POLE_TOL = 1e-12
 
+#: most product factors a context may keep: a larger trunc (|q| above about
+#: 0.99997 by default) asks for gigabytes in one batch and raises ValueError
+MAX_TRUNC = 1 << 20
+
+#: most (argument x factor) entries one numpy pass of thetas holds, so a
+#: call's temporaries stay bounded whatever the number of arguments
+BLOCK_ENTRIES = 1 << 13
+
 
 def default_trunc(q: complex) -> int:
     """Default product truncation: tail below 1e-36 of the leading factor
@@ -65,6 +73,8 @@ class ThetaContext:
             raise ValueError("|q| = |exp(log_q)| must be strictly below 1")
         if self.trunc < 1 or not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError("trunc must be positive and tol finite and > 0")
+        if self.trunc > MAX_TRUNC:
+            raise ValueError(f"trunc={self.trunc} exceeds the cap of {MAX_TRUNC} factors")
         # dropped tail of phi must fall below machine epsilon
         need = math.ceil(math.log(_EPS) / self.log_q.real)
         if self.trunc < need:
@@ -116,22 +126,27 @@ def theta(ctx: ThetaContext, lx) -> complex:
 
 def thetas(ctx: ThetaContext, args) -> list[complex]:
     """[theta(ctx, lx) for lx in args], bit for bit, errors included, with
-    the products of all arguments taken in one numpy pass over an
-    (args x trunc) array.  Only the arguments before the first one out of
-    range are evaluated: that argument's RangeError is raised unless an
-    earlier value raises first."""
+    the products taken in numpy passes over blocks of rows of an
+    (args x trunc) array, each block at most BLOCK_ENTRIES entries (one row
+    at least).  Only the arguments before the first one out of range are
+    evaluated: that argument's RangeError is raised unless an earlier value
+    raises first."""
     w = np.array(args, dtype=complex)
     out = np.flatnonzero(np.abs(w.real) > LOG_RANGE)
     m = out[0] if out.size else len(w)
-    ws = w[:m].tolist()
     qs = _q_powers(ctx.log_q, ctx.trunc)
-    xp = np.array([cmath.exp(ctx.log_q + x) for x in ws], dtype=complex)
-    xm = np.array([cmath.exp(ctx.log_q - x) for x in ws], dtype=complex)
-    factors = (1.0 - qs * xp[:, None]) * (1.0 - qs * xm[:, None])
-    prods = np.prod(factors, axis=1)
-    lost = np.abs(prods) < sys.float_info.min
-    lost[lost] = factors[lost].all(axis=1) & (w[:m][lost] != 0)
-    values = [_value(ctx, x, v, f) for x, v, f in zip(ws, prods.tolist(), lost.tolist())]
+    rows = max(1, BLOCK_ENTRIES // ctx.trunc)
+    values = []
+    for start in range(0, m, rows):
+        block = w[start:min(start + rows, m)]
+        ws = block.tolist()
+        xp = np.array([cmath.exp(ctx.log_q + x) for x in ws], dtype=complex)
+        xm = np.array([cmath.exp(ctx.log_q - x) for x in ws], dtype=complex)
+        factors = (1.0 - qs * xp[:, None]) * (1.0 - qs * xm[:, None])
+        prods = np.prod(factors, axis=1)
+        lost = np.abs(prods) < sys.float_info.min
+        lost[lost] = factors[lost].all(axis=1) & (block[lost] != 0)
+        values += [_value(ctx, x, v, f) for x, v, f in zip(ws, prods.tolist(), lost.tolist())]
     if m < len(w):
         _checked(w[m])   # raises the range guard's RangeError
     return values

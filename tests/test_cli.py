@@ -15,6 +15,7 @@ from ellweights import ParameterPoint, cli, random_parameter_point
 from ellweights.cli import (SUITE_NAMES, RunConfig, build_parser,
                             config_from_args, main, run)
 from ellweights.errors import ResamplingError
+from ellweights.qtheta import MAX_TRUNC
 
 # Golden fixture: the 2x2 matrix at the pinned point drawn with seed
 # 20240801 at q = 0.3, computed from the hand-coded closed forms.
@@ -76,6 +77,20 @@ class TestRunConfig:
         c = cfg(q=0.3)
         assert c.context().trunc == 69
 
+    def test_truncation_cap(self, capsys, monkeypatch):
+        # |q| = 0.99999 would take 8,289,265 factors, gigabytes in one
+        # batch: a configuration error, found before any evaluation
+        for bad in (dict(q=0.99999), dict(q=0.3, trunc=MAX_TRUNC + 1)):
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                RunConfig(**bad)
+        assert RunConfig(q=0.9999).context().trunc == 828890 <= MAX_TRUNC
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("evaluated"))
+        assert main(["verify", "--n", "2", "--q", "0.99999", "--suites", "pprop"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("configuration error: trunc=8289265 exceeds "
+                                f"the cap of {MAX_TRUNC} factors\n")
+        assert captured.out == ""
+
 
 class TestVerifyMode:
     def test_n2_mirror_four_identities(self):
@@ -134,15 +149,20 @@ class TestVerifyMode:
 
     def test_theta_suite_nan_is_the_maximum(self, ctx, monkeypatch):
         # a running max would keep its 1.6e-15 past one NaN theta
-        calls, scalar = [], cli.theta
+        calls, batched = [], cli.thetas
 
-        def nan_on_7th(c, lx):
-            calls.append(lx)
-            return complex("nan") if len(calls) == 7 else scalar(c, lx)
+        def nan_at_7th(c, args):
+            calls.append(len(args))
+            values = batched(c, args)
+            if len(calls) == 1:
+                values[6] = complex("nan")
+            return values
 
-        monkeypatch.setattr(cli, "theta", nan_on_7th)
+        monkeypatch.setattr(cli, "thetas", nan_at_7th)
+        monkeypatch.setattr(cli, "theta", lambda c, lx: pytest.fail("scalar theta"),
+                            raising=False)
         report = cli.run_suite("theta", cfg(suites=("theta",)), ctx)
-        assert len(calls) == 3000
+        assert calls == [1000, 1000, 1000]
         assert math.isnan(report["max_residual"]) and report["pass"] is False
 
     def test_products_out_of_double_range_name_the_error(self):

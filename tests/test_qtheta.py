@@ -2,12 +2,13 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ellweights import ParameterPoint, RangeError, ThetaContext, theta
-from ellweights.qtheta import thetas
+from ellweights.qtheta import BLOCK_ENTRIES, thetas
 from ellweights.weightfn import resonance_margin
 
 # Frozen output of an independent truncated-product oracle
@@ -109,8 +110,14 @@ class TestGuardsAndContext:
         # e^800 would overflow cmath.exp, so it must not be taken at all
         near = ThetaContext.create(q=0.999)
         ctx = ThetaContext.create(q=0.3)
+        # at |q| = 0.999 a block is one row, and x = 1 and x = 1/q are exact
+        # zeros: the first failure sits in a later block, a product failure
+        # and then a range-guard failure
+        zeros = [0j, -near.log_q, 0j]
         for c, args in ((near, [3j, 0.5]), (near, [0.5, 3j]), (near, [0.5, 40.0]),
-                        (near, [3j, 40.0]), (near, [40.0, 0.5]), (ctx, [0.1, 800.0, 0.2])):
+                        (near, [3j, 40.0]), (near, [40.0, 0.5]), (ctx, [0.1, 800.0, 0.2]),
+                        (near, zeros + [3j, 40.0]), (near, zeros + [40.0, 3j]),
+                        (ctx, [0.1] * 300 + [800.0, 0.2])):
             with pytest.raises(RangeError) as scalar:
                 [theta(c, lx) for lx in args]
             with pytest.raises(RangeError) as batched:
@@ -152,7 +159,22 @@ class TestBatchedTheta:
         args = [complex(re, im) for re, im in
                 zip(rng.uniform(-4, 4, 2000), rng.uniform(-2 * math.pi, 2 * math.pi, 2000))]
         args += [0j, -0j, complex(0.0, -0.0), 4.0 + 0j, -4.0 + 1j]
+        assert len(args) > 2 * (BLOCK_ENTRIES // ctx.trunc)   # three blocks or more
         assert _bits(thetas(ctx, args)) == _bits([theta(ctx, a) for a in args])
+
+    def test_temporaries_are_bounded(self):
+        # one numpy pass over all 1,000 rows peaks at 3.4 MB
+        ctx = ThetaContext.create(q=0.3)
+        rng = np.random.default_rng(3)
+        args = (rng.uniform(-2, 2, 1000) + 1j * rng.uniform(-6, 6, 1000)).tolist()
+        thetas(ctx, args)   # fills the q-power cache
+        tracemalloc.start()
+        try:
+            thetas(ctx, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_empty_input(self, ctx):
         assert thetas(ctx, []) == []
