@@ -32,8 +32,9 @@ LOG_RANGE = 32.0
 #: modulus below which a theta denominator counts as a pole
 POLE_TOL = 1e-12
 
-#: most product factors a context may keep: a larger trunc (|q| above about
-#: 0.99997 by default) asks for gigabytes in one batch and raises ValueError
+#: most product factors a context may keep, so that one row of a thetas
+#: pass holds at most 16 MiB per array; a larger trunc (the default one
+#: past |q| = 0.99992) raises ValueError
 MAX_TRUNC = 1 << 20
 
 #: most (argument x factor) entries one numpy pass of thetas holds, so a
