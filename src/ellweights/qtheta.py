@@ -97,41 +97,18 @@ def _q_powers(log_q: complex, trunc: int) -> np.ndarray:
     return np.exp(log_q * np.arange(trunc))
 
 
-def _checked(lx) -> complex:
-    w = complex(lx)
-    if abs(w.real) > LOG_RANGE:
-        raise RangeError(f"|Re log x| = {abs(w.real):.3g} exceeds {LOG_RANGE}")
-    return w
-
-
-def _value(ctx: ThetaContext, w: complex, prod: complex, lost: bool) -> complex:
-    # at |q| near 1 the truncated product can leave double range: lost marks
-    # an underflow where theta is not exactly 0 (x = 1 or a factor is 0)
-    value = (cmath.exp(w / 2) - cmath.exp(-w / 2)) * prod
-    if lost or not cmath.isfinite(value):
-        raise RangeError(f"theta at log x = {w:.6g}, |q| = {math.exp(ctx.log_q.real):.6g}"
-                         f" is {value}: its product leaves double range")
-    return value
-
-
 def theta(ctx: ThetaContext, lx) -> complex:
     """Skew Jacobi theta function of x = exp(lx)."""
-    w = _checked(lx)
-    qs = _q_powers(ctx.log_q, ctx.trunc)
-    xp = cmath.exp(ctx.log_q + w)
-    xm = cmath.exp(ctx.log_q - w)
-    factors = (1.0 - qs * xp) * (1.0 - qs * xm)
-    prod = complex(np.multiply.reduce(factors))
-    return _value(ctx, w, prod, abs(prod) < sys.float_info.min and w != 0 and factors.all())
+    return thetas(ctx, (lx,))[0]
 
 
 def thetas(ctx: ThetaContext, args) -> list[complex]:
-    """[theta(ctx, lx) for lx in args], bit for bit, errors included, with
+    """The skew theta function at each log-argument of args, in order, with
     the products taken in numpy passes over blocks of rows of an
     (args x trunc) array, each block at most BLOCK_ENTRIES entries (one row
     at least).  Only the arguments before the first one out of range are
-    evaluated: that argument's RangeError is raised unless an earlier value
-    raises first."""
+    evaluated.  The first argument in order that fails raises RangeError:
+    out of range, or a value whose product leaves double range."""
     w = np.array(args, dtype=complex)
     out = np.flatnonzero(np.abs(w.real) > LOG_RANGE)
     m = out[0] if out.size else len(w)
@@ -140,14 +117,29 @@ def thetas(ctx: ThetaContext, args) -> list[complex]:
     values = []
     for start in range(0, m, rows):
         block = w[start:min(start + rows, m)]
-        ws = block.tolist()
-        xp = np.array([cmath.exp(ctx.log_q + x) for x in ws], dtype=complex)
-        xm = np.array([cmath.exp(ctx.log_q - x) for x in ws], dtype=complex)
+        xp = np.exp(ctx.log_q + block)
+        xm = np.exp(ctx.log_q - block)
         factors = (1.0 - qs * xp[:, None]) * (1.0 - qs * xm[:, None])
         prods = np.prod(factors, axis=1)
+        # at |q| near 1 the truncated product can leave double range: lost
+        # marks an underflow where theta is not exactly 0 (x = 1 or a factor
+        # is 0)
         lost = np.abs(prods) < sys.float_info.min
         lost[lost] = factors[lost].all(axis=1) & (block[lost] != 0)
-        values += [_value(ctx, x, v, f) for x, v, f in zip(ws, prods.tolist(), lost.tolist())]
+        front = np.exp(block / 2) - np.exp(-block / 2)
+        # front * prods in real arithmetic: numpy's complex product may round
+        # differently from Python's, which every scalar product downstream
+        # uses, so the two would not agree bit for bit
+        v = np.empty_like(prods)
+        v.real = front.real * prods.real - front.imag * prods.imag
+        v.imag = front.real * prods.imag + front.imag * prods.real
+        bad = np.flatnonzero(lost | ~np.isfinite(v))
+        if bad.size:
+            i = bad[0]
+            raise RangeError(f"theta at log x = {complex(block[i]):.6g}, "
+                             f"|q| = {math.exp(ctx.log_q.real):.6g} is {complex(v[i])}: "
+                             "its product leaves double range")
+        values += v.tolist()
     if m < len(w):
-        _checked(w[m])   # raises the range guard's RangeError
+        raise RangeError(f"|Re log x| = {abs(w[m].real):.3g} exceeds {LOG_RANGE}")
     return values

@@ -35,7 +35,8 @@ import numpy as np
 from .errors import ConsistencyError, PoleError, ResonanceError
 from .mirror import kappa_substitute
 from .permcomb import Permutation, all_permutations
-from .qtheta import POLE_TOL, ThetaContext, theta, thetas
+# theta is unused here, but perfbench's tests read the name rmatrix.theta
+from .qtheta import POLE_TOL, ThetaContext, theta, thetas  # noqa: F401
 from .restriction import (RestrictionMatrix, build_A_direct, diagonal_args,
                           relative_residual)
 from .weightfn import ParameterPoint
@@ -54,13 +55,11 @@ def felder_R(kind: str, j: int, k: int, lx, p: ParameterPoint,
     if j == k:
         raise ValueError("distinct indices required for non-trivial entries")
     lmu = p.mu(j) - p.mu(k)
-    den_x = theta(ctx, lx + p.log_h)
-    den_mu = theta(ctx, lmu)
+    num = (lx, p.log_h + lmu) if kind == "diag" else (lx + lmu, p.log_h)
+    den_x, den_mu, a, b = thetas(ctx, (lx + p.log_h, lmu, *num))
     if abs(den_x) < POLE_TOL or abs(den_mu) < POLE_TOL:
         raise PoleError("R-matrix denominator vanished")
-    if kind == "diag":
-        return theta(ctx, lx) * theta(ctx, p.log_h + lmu) / (den_x * den_mu)
-    return theta(ctx, lx + lmu) * theta(ctx, p.log_h) / (den_x * den_mu)
+    return a * b / (den_x * den_mu)
 
 
 def dual_R(kind: str, j: int, k: int, lx, p: ParameterPoint,

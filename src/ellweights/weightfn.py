@@ -10,9 +10,9 @@ closed n = 2 forms come out of that normalization on the nose.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable
+from functools import lru_cache
 
 import numpy as np
 
@@ -161,30 +161,40 @@ def _level_args(I: Permutation, t: ChernPoint, p: ParameterPoint):
     return list(t.levels) + [list(p.log_z)]
 
 
-def _term(I: Permutation, levels, p: ParameterPoint,
-          th: Callable[[complex], complex]) -> complex:
-    """U at the Chern-root logs ``levels`` (level 1 to n-1, then log z),
-    with theta(ctx, x) read through th(x); the caller checks the sizes.
+def _terms(I: Permutation, terms: list, p: ParameterPoint,
+           ctx: ThetaContext) -> list[complex]:
+    """U at each Chern-root log list of ``terms`` (level 1 to n-1, then
+    log z; the caller checks the sizes), from one ``thetas`` call over the
+    distinct theta arguments of all of them, keyed on their exact values,
+    in the order a term-by-term walk first reads them: at each level k its
+    psi factors, then its denominator pairs.
 
-    Raises PoleError when a level-internal theta denominator factor has
-    modulus at most POLE_TOL.
+    Raises PoleError at the first level-internal theta denominator factor,
+    in that order, with modulus at most POLE_TOL.
     """
-    cases = _psi_cases(I)
-    num = 1.0 + 0j
-    den = 1.0 + 0j
-    for k in range(1, len(I)):
-        tk, tk1 = levels[k - 1], levels[k]
-        for ta, row in zip(tk, cases[k - 1]):
-            for tc, case in zip(tk1, row):
-                num *= th(_psi_arg(case, tc - ta, k, p))
-        for a in range(1, k + 1):
-            for b in range(a + 1, k + 1):
-                f = th(tk[a - 1] + p.log_h - tk[b - 1]) * th(tk[b - 1] - tk[a - 1])
-                if abs(f) <= POLE_TOL:
-                    raise PoleError(
-                        f"denominator theta vanished at level {k} (|.|={abs(f):.3e})")
-                den *= f
-    return num / den
+    cases, lh, ids, reads = _psi_cases(I), p.log_h, {}, []
+    for levels in terms:
+        psis, pairs = [], []   # positions in ids
+        for k in range(1, len(I)):
+            tk, tk1 = levels[k - 1], levels[k]
+            psis += [ids.setdefault(_psi_arg(case, tc - ta, k, p), len(ids))
+                     for ta, row in zip(tk, cases[k - 1]) for tc, case in zip(tk1, row)]
+            pairs += [(k, ids.setdefault(tk[a] + lh - tk[b], len(ids)),
+                       ids.setdefault(tk[b] - tk[a], len(ids)))
+                      for a in range(k) for b in range(a + 1, k)]
+        reads.append((psis, pairs))
+    th = thetas(ctx, list(ids))
+    out = []
+    for psis, pairs in reads:
+        num, den = math.prod([th[i] for i in psis], start=1.0 + 0j), 1.0 + 0j
+        for k, a, b in pairs:
+            f = th[a] * th[b]
+            if abs(f) <= POLE_TOL:
+                raise PoleError(
+                    f"denominator theta vanished at level {k} (|.|={abs(f):.3e})")
+            den *= f
+        out.append(num / den)
+    return out
 
 
 def U(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext) -> complex:
@@ -193,7 +203,7 @@ def U(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext) -> co
     Raises PoleError when a level-internal theta denominator factor has
     modulus at most POLE_TOL.
     """
-    return _term(I, _level_args(I, t, p), p, partial(theta, ctx))
+    return _terms(I, [_level_args(I, t, p)], p, ctx)[0]
 
 
 def weight_terms(I: Permutation, t: ChernPoint, p: ParameterPoint,
@@ -201,21 +211,13 @@ def weight_terms(I: Permutation, t: ChernPoint, p: ParameterPoint,
     """All symmetrization terms of W_I in a fixed deterministic order: U at
     every permutation of the logs within each Chern-root level.
 
-    The terms share one table of theta values keyed on the exact
-    log-argument, so each distinct theta of the call is evaluated once; the
-    table lives for this call only, and a theta that raises is not stored.
+    Each distinct theta argument of the call is evaluated once, in one
+    ``thetas`` call; no value outlives the call.
     """
-    table = {}
-
-    def th(lx):
-        value = table.get(lx)
-        if value is None:
-            value = table[lx] = theta(ctx, lx)
-        return value
-
     *levels, z = _level_args(I, t, p)
-    return [_term(I, (*perm, z), p, th)
-            for perm in itertools.product(*map(itertools.permutations, levels))]
+    terms = [(*perm, z)
+             for perm in itertools.product(*map(itertools.permutations, levels))]
+    return _terms(I, terms, p, ctx)
 
 
 def W(I: Permutation, t: ChernPoint, p: ParameterPoint, ctx: ThetaContext) -> complex:
@@ -251,7 +253,4 @@ def P_args(I: Permutation, log_w: tuple[complex, ...],
 def P(I: Permutation, log_w: tuple[complex, ...], p: ParameterPoint,
       ctx: ThetaContext) -> complex:
     """Diagonal theta product: the product of theta over P_args(I, log_w, p)."""
-    out = 1.0 + 0j
-    for lx in P_args(I, log_w, p):
-        out *= theta(ctx, lx)
-    return out
+    return math.prod(thetas(ctx, P_args(I, log_w, p)), start=1.0 + 0j)

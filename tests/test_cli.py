@@ -94,19 +94,44 @@ class TestRunConfig:
 
 class TestVerifyMode:
     def test_n2_mirror_four_identities(self):
+        # one check per point covers all four identities
         status, report = run(cfg(n=2, suites=("mirror",)))
         assert status == 0
         checks = report["suites"]["mirror"]["checks"]
-        assert len(checks) == 4
-        assert all(c["pass"] for c in checks)
+        assert [(c["id"], c["pass"]) for c in checks] == [
+            ("mirror x4 worst I=21 J=21 pt=0", True)]
 
     def test_n3_mirror_thirty_six(self):
         status, report = run(cfg(n=3, suites=("mirror",)))
         assert status == 0
         checks = report["suites"]["mirror"]["checks"]
-        assert len(checks) == 36
-        ids = {c["id"] for c in checks}
-        assert "mirror I=321 J=123 pt=0" in ids
+        assert [c["id"] for c in checks] == ["mirror x36 worst I=231 J=123 pt=0"]
+
+    def test_n4_mirror_one_check_per_point(self, ctx):
+        # the check at each point is the largest of the point's 576
+        # residuals, bit for bit, named by the entry it is read at
+        report = cli.run_suite("mirror", RunConfig(n=4, suites=("mirror",), points=2), ctx)
+        order = ellweights.all_permutations(4)
+        assert len(report["checks"]) == len(report["points"]) == 2
+        for pt, (check, data) in enumerate(zip(report["checks"], report["points"])):
+            p = ParameterPoint(log_z=[complex(*v) for v in data["log_z"]],
+                               log_mu=[complex(*v) for v in data["log_mu"]],
+                               log_h=complex(*data["log_h"]))
+            res = ellweights.mirror_residual(p, ctx)
+            i, j = np.unravel_index(np.argmax(res), res.shape)
+            assert res[i, j] == res.max()
+            word = ["".join(map(str, order[x].word)) for x in (i, j)]
+            assert check["id"] == f"mirror x576 worst I={word[0]} J={word[1]} pt={pt}"
+            assert np.float64(check["residual"]).tobytes() == res.max().tobytes()
+
+    def test_worst_entry_nan_is_named(self, ctx, monkeypatch):
+        # a NaN residual is the maximum, and its entry is the one named
+        res = np.array([[1e-3, 0.5], [math.nan, 2.0]])
+        monkeypatch.setattr(cli, "mirror_residual", lambda p, ctx: res)
+        report = cli.run_suite("mirror", cfg(), ctx)
+        [check] = report["checks"]
+        assert check["id"] == "mirror x4 worst I=21 J=12 pt=0"
+        assert math.isnan(check["residual"]) and report["pass"] is False
 
     def test_theta_and_pprop_suites(self):
         status, report = run(cfg(n=3, suites=("theta", "pprop")))
@@ -123,14 +148,14 @@ class TestVerifyMode:
         assert status == 0
 
     def test_n1_relation_and_mirror_suites(self):
-        # no steps at n = 1: both relations report zero checks and residual
-        # 0.0; the mirror suite has its single identity
+        # no steps at n = 1: both relations check no identity, with residual
+        # 0.0 and no entry named; the mirror suite has its single identity
         status, report = run(RunConfig(n=1, suites=("rmatrel", "dualrel", "mirror")))
         assert status == 0
         checks = [c for s in report["suites"].values() for c in s["checks"]]
         assert [(c["id"], c["pass"]) for c in checks] == [
             ("exchange relation x0 pt=0", True), ("dual relation x0 pt=0", True),
-            ("mirror I=1 J=1 pt=0", True)]
+            ("mirror x1 worst I=1 J=1 pt=0", True)]
         assert checks[0]["residual"] == checks[1]["residual"] == 0.0
 
     def test_nan_residual_is_the_maximum(self, ctx, monkeypatch):
@@ -198,10 +223,9 @@ class TestVerifyMode:
             "theta": ["oddness x1000", "quasi-periodicity x1000"],
             "triangular": [f"triangularity pt={pt}" for pt in pts],
             "diagonal": [f"diagonal I={i} pt={pt}" for pt in pts for i in words],
-            "rmatrel": [f"exchange relation x4 pt={pt}" for pt in pts],
-            "dualrel": [f"dual relation x4 pt={pt}" for pt in pts],
-            "mirror": [f"mirror I={i} J={j} pt={pt}"
-                       for pt in pts for i in words for j in words],
+            "rmatrel": [f"exchange relation x4 worst k=1 I=12 J=12 pt={pt}" for pt in pts],
+            "dualrel": [f"dual relation x4 worst k=1 I=21 J=12 pt={pt}" for pt in pts],
+            "mirror": ["mirror x4 worst I=21 J=21 pt=0", "mirror x4 worst I=12 J=12 pt=1"],
             "interface": [f"interface {side} I={i} pt={pt}"
                           for pt in pts for i in words for side in ("first", "second")],
             "pprop": [f"pprop I={i} pt={pt}" for pt in pts for i in words],

@@ -37,8 +37,8 @@ MUTANTS = {
         "weightfn", "for perm in itertools.product(*map(itertools.permutations, levels))]",
         "for perm in itertools.product(*map(itertools.permutations, levels))][:-1]"),
     "every term times theta(hbar)/theta(hbar + 0.01)": (
-        "weightfn", "    return num / den\n",
-        "    return num / den * th(p.log_h) / th(p.log_h + 0.01)\n"),
+        "weightfn", "out.append(num / den)",
+        "out.append(num / den * theta(ctx, p.log_h) / theta(ctx, p.log_h + 0.01))"),
     "P_args -hbar for +hbar": (
         "weightfn", "args.append(p.log_h + lx if il < ik else lx)",
         "args.append(-p.log_h + lx if il < ik else lx)"),
@@ -54,8 +54,7 @@ MUTANTS = {
         "mirror", "log_z=tuple(p.log_mu[n - 1 - i] for i in range(n)),",
         "log_z=tuple(p.log_mu[i] for i in range(n)),"),
     "felder_R exchange entry theta(x - m) for theta(x + m)": (
-        "rmatrix", "return theta(ctx, lx + lmu) * theta(ctx, p.log_h)",
-        "return theta(ctx, lx - lmu) * theta(ctx, p.log_h)"),
+        "rmatrix", "else (lx + lmu, p.log_h)", "else (lx - lmu, p.log_h)"),
     "theta without its first q-product factors": (
         "qtheta", "np.exp(log_q * np.arange(trunc))", "np.exp(log_q * np.arange(1, trunc + 1))"),
     "theta truncated to trunc/4 (error about 1e-9, below tol)": (

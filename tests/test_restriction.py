@@ -130,12 +130,13 @@ class TestDiagonal:
         # the recursions fill their theta table from diagonal_args
         p = random_parameter_point(n, rng, ctx) if n > 1 else ParameterPoint(
             log_z=(0.3,), log_mu=(0.7,), log_h=0.2)
+        batched = weightfn.thetas
         for I in all_permutations(n):
             read = []
             want = A_diagonal(I, p, ctx)
             with monkeypatch.context() as m:
-                m.setattr(weightfn, "theta",
-                          lambda c, lx: read.append(lx) or theta(c, lx))
+                m.setattr(weightfn, "thetas",
+                          lambda c, args: read.extend(args) or batched(c, args))
                 value = A_diagonal(I, p, ctx)
             assert read == restriction.diagonal_args(I, p)
             assert value == want

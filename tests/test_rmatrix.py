@@ -54,6 +54,21 @@ class TestFelderEntries:
         with pytest.raises(PoleError):
             felder_R("diag", 1, 2, 0.4, p, ctx)
 
+    def test_one_batch_per_entry(self, ctx, golden_point, monkeypatch):
+        # each entry reads its four thetas in one thetas call, denominators
+        # first, and is their scalar theta ratio bit for bit
+        p, lx = golden_point, 0.37 + 0.62j
+        lh, lmu = p.log_h, p.mu(1) - p.mu(2)
+        th = partial(theta, ctx)
+        batches, batched = [], rmatrix.thetas
+        monkeypatch.setattr(rmatrix, "thetas",
+                            lambda c, args: batches.append(list(args)) or batched(c, args))
+        for kind, (a, b) in (("diag", (lx, lh + lmu)), ("exchange", (lx + lmu, lh))):
+            batches.clear()
+            got = felder_R(kind, 1, 2, lx, p, ctx)
+            assert batches == [[lx + lh, lmu, a, b]]
+            assert got == th(a) * th(b) / (th(lx + lh) * th(lmu))
+
     def test_bad_kind_and_indices(self, ctx, golden_point):
         with pytest.raises(ValueError):
             felder_R("off-diag", 1, 2, 0.1, golden_point, ctx)
@@ -518,7 +533,8 @@ class TestHighPrecisionReference:
                                           log_h=mpmath.mpc(p.log_h))
                     wide_theta.cache_clear()
                     with monkeypatch.context() as m:
-                        m.setattr(weightfn, "theta", lambda c, lx: wide_theta(lx))
+                        m.setattr(weightfn, "thetas",
+                                  lambda c, args: [wide_theta(lx) for lx in args])
                         ref = np.array([complex(v) for v, _ in
                                         restriction.direct_entries(wide, ctx)])
                     ref = ref.reshape(builds[0].entries.shape)

@@ -229,9 +229,9 @@ class TestThetaTable:
     @pytest.mark.parametrize("q", [0.3, 0.5j])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_terms_and_matrices_bit_identical(self, n, q, monkeypatch):
-        # the per-call table changes no bit of any term or entry, the sign
-        # of zero included (+0j and -0j keys compare equal); the terms at a
-        # restriction point are mostly zero
+        # evaluating each distinct argument of a call once changes no bit of
+        # any term or entry, the sign of zero included (+0j and -0j keys
+        # compare equal); the terms at a restriction point are mostly zero
         ctx = ThetaContext.create(q=q)
         rng = np.random.default_rng(n)
         p = random_parameter_point(n, rng, ctx)
@@ -254,26 +254,56 @@ class TestThetaTable:
 
     def test_each_theta_evaluated_once_per_call(self, ctx, monkeypatch):
         # one n=4 direct build reads 164 distinct theta arguments; each of
-        # its 576 weight_terms calls evaluates each of its own once, and no
-        # value carries over from one call to the next
+        # its 576 weight_terms calls makes one thetas call over its own
+        # distinct arguments, and no value carries over from one call to
+        # the next
         p = random_parameter_point(4, np.random.default_rng(1), ctx)
-        args = []
-        plain = weightfn.theta
+        batches = []
+        batched = weightfn.thetas
 
-        def counted(c, lx):
-            args.append(lx)
-            return plain(c, lx)
+        def counted(c, args):
+            batches.append(list(args))
+            return batched(c, args)
 
-        monkeypatch.setattr(weightfn, "theta", counted)
+        monkeypatch.setattr(weightfn, "thetas", counted)
         build_A_direct(Permutation.identity(4), p, ctx)
-        assert (len(args), len(set(args))) == (22_536, 164)
+        assert len(batches) == 576
+        assert all(len(b) == len(set(b)) for b in batches)
+        assert sum(map(len, batches)) == 22_536
+        assert len({lx for b in batches for lx in b}) == 164
         I, t = Permutation.longest(4), restriction_point(Permutation.identity(4), p)
-        args.clear()
+        batches.clear()
         weight_terms(I, t, p, ctx)
-        once = len(args)
-        assert once == len(set(args))
         weight_terms(I, t, p, ctx)
-        assert len(args) == 2 * once
+        assert len(batches) == 2 and batches[0] == batches[1]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_arguments_in_walk_order(self, n, ctx, monkeypatch):
+        # the one batch of a call lists its distinct arguments in the order
+        # the term-by-term product u_product first reads them: at each level
+        # its psi factors, then its denominator pairs
+        rng = np.random.default_rng(n)
+        p = random_parameter_point(n, rng, ctx)
+        t = random_chern_point(n, rng)
+        for I in (Permutation.identity(n), Permutation.longest(n)):
+            reads, plain = [], weightfn.theta
+
+            def read(c, lx):
+                reads.append(lx)
+                return plain(c, lx)
+
+            with monkeypatch.context() as m:
+                m.setattr(weightfn, "theta", read)
+                m.setitem(globals(), "theta", read)
+                for levels in itertools.product(*map(itertools.permutations, t.levels)):
+                    u_product(I, ChernPoint(levels), p, ctx)
+            batches = []
+            batched = weightfn.thetas
+            with monkeypatch.context() as m:
+                m.setattr(weightfn, "thetas",
+                          lambda c, args: batches.append(list(args)) or batched(c, args))
+                weight_terms(I, t, p, ctx)
+            assert batches == [list(dict.fromkeys(reads))]
 
     def test_errors_unchanged(self, ctx, rng, monkeypatch):
         p = random_parameter_point(3, rng, ctx)
@@ -299,20 +329,38 @@ class TestThetaTable:
         _untabled(monkeypatch)
         assert errors() == tabled
 
+    def test_range_error_names_the_argument_read_first(self, ctx):
+        # at n=4 the walk reads level 2's denominator pair t2_1 + hbar - t2_2
+        # (|Re| 33.9) before any level-3 psi factor; z_1 - t3_1 (|Re| about
+        # 40) fails too, and a batch that listed every psi factor first would
+        # name it
+        p = ParameterPoint(log_z=(40.0, 0.1j, 0.2j, 0.3j),
+                           log_mu=(0.1, 0.2j, -0.3j, 0.4), log_h=0.1 + 0.2j)
+        t = ChernPoint(((0.0,), (-17.0 + 0.1j, 17.0 - 0.2j), (0.3j, 0.5 + 0.1j, 1.0)))
+        for I in (Permutation.identity(4), Permutation.longest(4)):
+            with pytest.raises(RangeError, match=r"^\|Re log x\| = 33\.9 exceeds") as walk:
+                u_product(I, t, p, ctx)
+            for call in (weight_terms, U, W):
+                with pytest.raises(RangeError) as batched:
+                    call(I, t, p, ctx)
+                assert str(batched.value) == str(walk.value)
+
     def test_raising_theta_not_stored(self, ctx, rng, monkeypatch):
+        # a call that raises leaves nothing behind: the next call evaluates
+        # the failing argument again
         p = random_parameter_point(3, rng, ctx)
         far = ChernPoint(((40.0 + 0j,), (0.1, 0.2)))
         raised = []
-        plain = weightfn.theta
+        batched = weightfn.thetas
 
-        def counted(c, lx):
+        def counted(c, args):
             try:
-                return plain(c, lx)
+                return batched(c, args)
             except RangeError:
-                raised.append(lx)
+                raised.append(list(args))
                 raise
 
-        monkeypatch.setattr(weightfn, "theta", counted)
+        monkeypatch.setattr(weightfn, "thetas", counted)
         for _ in range(2):
             with pytest.raises(RangeError):
                 weight_terms(Permutation((3, 2, 1)), far, p, ctx)
@@ -434,7 +482,7 @@ class TestParameterPoint:
                         * mpmath.qp(q * x, q) * mpmath.qp(q / x, q))
 
             want = [A_diagonal(I, p, ctx) for I in all_permutations(3)]
-            monkeypatch.setattr(weightfn, "theta", lambda c, lx: th(lx))
+            monkeypatch.setattr(weightfn, "thetas", lambda c, args: [th(lx) for lx in args])
             for I, double in zip(all_permutations(3), want):
                 value = A_diagonal(I, wide, ctx)
                 assert type(value) is mpmath.mpc
