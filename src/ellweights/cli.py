@@ -117,11 +117,11 @@ def _word(I: Permutation) -> str:
 # verification suites: one sampling loop, one check function per suite
 # ---------------------------------------------------------------------------
 #
-# A check function takes (ctx, p, rng, fields) for one point p of its
-# suite and yields (id, residual) pairs; run_suite appends the point's
-# index to each id.  It may add extra report fields.  Library functions
-# are called through their module-global names so that rebinding them (as
-# a tracer does) reaches every call.
+# A check function takes (ctx, p, rng, fields) for one point p of its suite
+# and yields (name, residual array) pairs, each array indexed by (), [i],
+# [i, j] or [k-1, i, j] over all_permutations(n).  It may add extra report
+# fields.  Library functions are called through their module-global names
+# so that rebinding them (as a tracer does) reaches every call.
 
 def _check_theta(ctx: ThetaContext, rng: np.random.Generator):
     """Oddness and quasi-periodicity over 1000 random log-arguments."""
@@ -132,8 +132,8 @@ def _check_theta(ctx: ThetaContext, rng: np.random.Generator):
     shift = np.array(thetas(ctx, ctx.log_q + lx))
     odd = np.abs(neg + tv) / (1.0 + np.abs(tv))
     qp = np.abs(shift + np.exp(-ctx.log_q / 2 - lx) * tv) / (1.0 + np.abs(shift) + np.abs(tv))
-    yield "oddness x1000", float(np.max(odd))
-    yield "quasi-periodicity x1000", float(np.max(qp))
+    yield "oddness x1000", np.max(odd)
+    yield "quasi-periodicity x1000", np.max(qp)
 
 
 def _check_pprop(ctx, p, rng, fields):
@@ -143,8 +143,7 @@ def _check_pprop(ctx, p, rng, fields):
     # K = s0 I s0, the word n+1-I_{n+1-j}
     lhs = np.array([P(compose(compose(s0, I), s0), args_inv_rev, p, ctx) for I in perms])
     rhs = np.array([P(I, p.log_z, p, ctx) for I in perms])
-    for I, res in zip(perms, relative_residual(lhs, rhs).tolist()):
-        yield f"pprop I={_word(I)}", res
+    yield "pprop", relative_residual(lhs, rhs)
 
 
 def _check_triangular(ctx, p, rng, fields):
@@ -157,42 +156,27 @@ def _check_diagonal(ctx, p, rng, fields):
     ident, perms = Permutation.identity(p.n), all_permutations(p.n)
     closed = np.array([A_diagonal(I, p, ctx) for I in perms])
     direct = np.array([A_direct(ident, I, I, p, ctx) for I in perms])
-    for I, res in zip(perms, relative_residual(direct, closed).tolist()):
-        yield f"diagonal I={_word(I)}", res
-
-
-def _worst(name: str, res: np.ndarray, n: int) -> tuple[str, float]:
-    """One check for a whole residual array indexed [i, j] or [k-1, i, j]:
-    its maximum (a NaN is the maximum), with the step k and the row I and
-    column J it is read at; an empty array reads 0.0 and names none."""
-    if not res.size:
-        return f"{name} x0", 0.0
-    *k, i, j = np.unravel_index(np.argmax(res), res.shape)
-    perms = all_permutations(n)
-    at = "".join(f" k={s + 1}" for s in k) + f" I={_word(perms[i])} J={_word(perms[j])}"
-    return f"{name} x{res.size} worst{at}", float(res.max())
+    yield "diagonal", relative_residual(direct, closed)
 
 
 def _check_rmatrel(ctx, p, rng, fields):
-    res = exchange_residual(build_A_direct(Permutation.identity(p.n), p, ctx), ctx)
-    yield _worst("exchange relation", res, p.n)
+    yield "exchange relation", exchange_residual(
+        build_A_direct(Permutation.identity(p.n), p, ctx), ctx)
 
 
 def _check_dualrel(ctx, p, rng, fields):
-    res = dual_residual(build_A_direct(Permutation.identity(p.n), p, ctx), ctx)
-    yield _worst("dual relation", res, p.n)
+    yield "dual relation", dual_residual(
+        build_A_direct(Permutation.identity(p.n), p, ctx), ctx)
 
 
 def _check_mirror(ctx, p, rng, fields):
-    yield _worst("mirror", mirror_residual(p, ctx), p.n)
+    yield "mirror", mirror_residual(p, ctx)
 
 
 def _check_interface(ctx, p, rng, fields):
     t, tp = random_chern_point(p.n, rng), random_chern_point(p.n, rng)
     res = interpolation_residuals(DualityInterface(p, ctx), t, tp)
-    for I, r1, r2 in zip(all_permutations(p.n), *(r.tolist() for r in res)):
-        yield f"interface first I={_word(I)}", r1
-        yield f"interface second I={_word(I)}", r2
+    yield from zip(("interface first", "interface second"), res)
 
 
 _CHECKS = {
@@ -210,22 +194,36 @@ def _error(exc: EvaluationError) -> dict:
     return {"type": type(exc).__name__, "message": str(exc)}
 
 
+def _worst(name: str, res, n: int) -> tuple[str, float]:
+    """The one check of a residual array: its maximum (a NaN is the maximum)
+    named by the step k, row I and column J it is read at.  A scalar keeps
+    its name as given; an empty array reads 0.0 and names none."""
+    res = np.asarray(res)
+    if not res.size:
+        return f"{name} x0", 0.0
+    at, perms = np.unravel_index(np.argmax(res), res.shape), all_permutations(n)
+    named = "".join(f" k={s + 1}" if lab == "k" else f" {lab}={_word(perms[s])}"
+                    for lab, s in zip(("", "I", "IJ", "kIJ")[res.ndim], at))
+    return (f"{name} x{res.size} worst{named}" if res.ndim else name), float(res.max())
+
+
 def run_suite(name: str, config: RunConfig, ctx: ThetaContext) -> dict:
-    """Report of one suite: the checks its check function gives at each of
-    ``config.points`` points drawn from the suite's own rng stream.  The
-    theta suite draws log-arguments, not points.  An evaluation error ends
+    """Report of one suite: one check per residual array its check function
+    gives at each of ``config.points`` points from the suite's own rng
+    stream (the theta suite draws log-arguments).  An evaluation error ends
     the suite: it fails, and reports the error after the checks made."""
     rng = _rng_for(config, name)
     fields: dict = {}
     pairs, points = [], []
     try:
         if name == "theta":
-            pairs.extend(_check_theta(ctx, rng))
+            pairs.extend(_worst(cid, res, config.n) for cid, res in _check_theta(ctx, rng))
         else:
             for pt in range(config.points):
                 p = random_parameter_point(config.n, rng, ctx)
                 points.append(p.to_json())
                 for cid, res in _CHECKS[name](ctx, p, rng, fields):
+                    cid, res = _worst(cid, res, p.n)
                     pairs.append((f"{cid} pt={pt}", res))
     except EvaluationError as exc:
         fields = {"error": _error(exc), **fields}
@@ -326,7 +324,9 @@ def _parse_q(text: str) -> complex:
     return complex(text.replace(" ", ""))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ellweights",
         description="Verify elliptic weight-function identities numerically.")

@@ -107,30 +107,46 @@ class TestVerifyMode:
         checks = report["suites"]["mirror"]["checks"]
         assert [c["id"] for c in checks] == ["mirror x36 worst I=231 J=123 pt=0"]
 
-    def test_n4_mirror_one_check_per_point(self, ctx):
-        # the check at each point is the largest of the point's 576
-        # residuals, bit for bit, named by the entry it is read at
-        report = cli.run_suite("mirror", RunConfig(n=4, suites=("mirror",), points=2), ctx)
-        order = ellweights.all_permutations(4)
-        assert len(report["checks"]) == len(report["points"]) == 2
-        for pt, (check, data) in enumerate(zip(report["checks"], report["points"])):
+    @pytest.mark.parametrize("suite, n", [("mirror", 4), ("diagonal", 4), ("pprop", 4),
+                                          ("interface", 3)])
+    def test_one_check_per_array(self, ctx, suite, n):
+        # each check is the largest entry of one residual array at one
+        # point, bit for bit, named by the entry it is read at; each array
+        # is rebuilt at the point the report stores, on the suite's stream
+        config = RunConfig(n=n, suites=(suite,), points=2)
+        report = cli.run_suite(suite, config, ctx)
+        order, rng = ellweights.all_permutations(n), cli._rng_for(config, suite)
+        checks = iter(report["checks"])
+        for pt, data in enumerate(report["points"]):
+            assert random_parameter_point(n, rng, ctx).to_json() == data
             p = ParameterPoint(log_z=[complex(*v) for v in data["log_z"]],
                                log_mu=[complex(*v) for v in data["log_mu"]],
                                log_h=complex(*data["log_h"]))
-            res = ellweights.mirror_residual(p, ctx)
-            i, j = np.unravel_index(np.argmax(res), res.shape)
-            assert res[i, j] == res.max()
-            word = ["".join(map(str, order[x].word)) for x in (i, j)]
-            assert check["id"] == f"mirror x576 worst I={word[0]} J={word[1]} pt={pt}"
-            assert np.float64(check["residual"]).tobytes() == res.max().tobytes()
+            for name, res in cli._CHECKS[suite](ctx, p, rng, {}):
+                check, at = next(checks), np.unravel_index(np.argmax(res), res.shape)
+                assert res[at] == res.max()
+                words = [f"{label}={''.join(map(str, order[x].word))}"
+                         for label, x in zip("IJ", at)]
+                assert check["id"] == f"{name} x{res.size} worst {' '.join(words)} pt={pt}"
+                assert np.float64(check["residual"]).tobytes() == res.max().tobytes()
+        assert len(report["points"]) == 2 and next(checks, None) is None
 
-    def test_worst_entry_nan_is_named(self, ctx, monkeypatch):
+    @pytest.mark.parametrize("rank, at, named", [
+        (0, (), "mirror pt=0"),
+        (1, (1,), "mirror x2 worst I=21 pt=0"),
+        (2, (1, 0), "mirror x4 worst I=21 J=12 pt=0"),
+        (3, (1, 1, 0), "mirror x8 worst k=2 I=21 J=12 pt=0")],
+        ids=["rank0", "rank1", "rank2", "rank3"])
+    def test_worst_entry_nan_is_named(self, ctx, monkeypatch, rank, at, named):
         # a NaN residual is the maximum, and its entry is the one named
-        res = np.array([[1e-3, 0.5], [math.nan, 2.0]])
+        res = np.full((2,) * rank, 1e-3)
+        if rank:
+            res.flat[-1] = 2.0
+        res[at] = math.nan
         monkeypatch.setattr(cli, "mirror_residual", lambda p, ctx: res)
         report = cli.run_suite("mirror", cfg(), ctx)
         [check] = report["checks"]
-        assert check["id"] == "mirror x4 worst I=21 J=12 pt=0"
+        assert check["id"] == named
         assert math.isnan(check["residual"]) and report["pass"] is False
 
     def test_theta_and_pprop_suites(self):
@@ -150,12 +166,14 @@ class TestVerifyMode:
     def test_n1_relation_and_mirror_suites(self):
         # no steps at n = 1: both relations check no identity, with residual
         # 0.0 and no entry named; the mirror suite has its single identity
-        status, report = run(RunConfig(n=1, suites=("rmatrel", "dualrel", "mirror")))
+        # and the diagonal suite its single entry
+        status, report = run(RunConfig(n=1, suites=("rmatrel", "dualrel", "mirror",
+                                                    "diagonal")))
         assert status == 0
         checks = [c for s in report["suites"].values() for c in s["checks"]]
         assert [(c["id"], c["pass"]) for c in checks] == [
             ("exchange relation x0 pt=0", True), ("dual relation x0 pt=0", True),
-            ("mirror x1 worst I=1 J=1 pt=0", True)]
+            ("mirror x1 worst I=1 J=1 pt=0", True), ("diagonal x1 worst I=1 pt=0", True)]
         assert checks[0]["residual"] == checks[1]["residual"] == 0.0
 
     def test_nan_residual_is_the_maximum(self, ctx, monkeypatch):
@@ -204,7 +222,8 @@ class TestVerifyMode:
     def test_interface_suite(self):
         status, report = run(cfg(n=2, suites=("interface",)))
         assert status == 0
-        assert len(report["suites"]["interface"]["checks"]) == 4
+        assert [c["id"] for c in report["suites"]["interface"]["checks"]] == [
+            "interface first x2 worst I=12 pt=0", "interface second x2 worst I=21 pt=0"]
 
     def test_schema_field(self):
         _, report = run(cfg())
@@ -218,17 +237,19 @@ class TestVerifyMode:
         assert status == 0
         assert list(report) == ["schema", "version", "config", "mode", "suites", "pass"]
         assert list(report["suites"]) == list(SUITE_NAMES)
-        pts, words = (0, 1), ("12", "21")
+        pts = (0, 1)
         expected = {
             "theta": ["oddness x1000", "quasi-periodicity x1000"],
             "triangular": [f"triangularity pt={pt}" for pt in pts],
-            "diagonal": [f"diagonal I={i} pt={pt}" for pt in pts for i in words],
+            "diagonal": ["diagonal x2 worst I=21 pt=0", "diagonal x2 worst I=12 pt=1"],
             "rmatrel": [f"exchange relation x4 worst k=1 I=12 J=12 pt={pt}" for pt in pts],
             "dualrel": [f"dual relation x4 worst k=1 I=21 J=12 pt={pt}" for pt in pts],
             "mirror": ["mirror x4 worst I=21 J=21 pt=0", "mirror x4 worst I=12 J=12 pt=1"],
-            "interface": [f"interface {side} I={i} pt={pt}"
-                          for pt in pts for i in words for side in ("first", "second")],
-            "pprop": [f"pprop I={i} pt={pt}" for pt in pts for i in words],
+            "interface": ["interface first x2 worst I=12 pt=0",
+                          "interface second x2 worst I=21 pt=0",
+                          "interface first x2 worst I=21 pt=1",
+                          "interface second x2 worst I=12 pt=1"],
+            "pprop": [f"pprop x2 worst I=12 pt={pt}" for pt in pts],
         }
         for name, suite in report["suites"].items():
             assert [c["id"] for c in suite["checks"]] == expected[name], name
@@ -374,6 +395,15 @@ class TestCommandLine:
                                     f"{tmp_path}: it is a directory\n"), argv
             assert captured.out == "", argv
         assert list(tmp_path.iterdir()) == []
+
+    def test_reused_parser_keeps_no_state(self, tmp_path):
+        # main parses with one parser per process: a --suites given to one
+        # call does not reach the next
+        assert build_parser() is build_parser()
+        out = tmp_path / "r.json"
+        for argv, suites in ((["--suites", "mirror"], ["mirror"]), ([], list(SUITE_NAMES))):
+            assert main(["verify", "--n", "1", "--out", str(out), *argv]) == 0
+            assert list(json.loads(out.read_text())["suites"]) == suites
 
     def test_main_config_error(self, capsys):
         assert main(["verify", "--n", "6"]) == 2
